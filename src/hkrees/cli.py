@@ -77,6 +77,8 @@ def cmd_formula(args) -> int:
         return 0
     elif family == "stirling-table":
         _require(args, ["n"])
+        if args.n < 1:
+            raise ParameterError(f"n must be >= 1, got {args.n}")
         row = [stirling2(args.n, k) for k in range(1, args.n + 1)]
         if args.json:
             print(json.dumps({"n": args.n, "row": row}))

@@ -10,7 +10,10 @@ counts of the initial ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+import itertools
+import operator
+from dataclasses import dataclass
 
 from .errors import ClosureError, DimensionError, ParameterError
 
@@ -71,19 +74,19 @@ class PresentedQuotient:
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _add(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _check_closure(e: Element) -> Element:
@@ -138,15 +141,11 @@ def reduce(element: Element, basis: list[Element], order: MonomialOrderSpec) -> 
     return None
 
 
-def _s_pair(f: Element, g: Element, order: MonomialOrderSpec) -> Element | None:
-    """S-polynomial of two elements; None when it is zero or the coprimality
-    criterion applies."""
+def _s_pair(f: Element, g: Element, lcm: Monomial,
+            order: MonomialOrderSpec) -> Element | None:
+    """S-polynomial of two elements whose leads have least common multiple
+    `lcm`; None when it is zero."""
     (lf, tf), (lg, tg) = f, g
-    if tf is None and tg is None:
-        return None
-    lcm = _lcm(lf, lg)
-    if lcm == _add(lf, lg):  # coprime leading terms: S-pair reduces to zero
-        return None
     if tf is None:
         return (_add(_sub(lcm, lg), tg), None)
     if tg is None:
@@ -172,42 +171,53 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
         if r is not None:
             basis.append(r)
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    pairs.sort(key=lambda ij: sum(_lcm(basis[ij[0]][0], basis[ij[1]][0])))
+    # Pairs leave the heap by lcm degree; the insertion sequence number
+    # breaks ties first-in first-out.  Two kinds of pair never enter: two
+    # monomials (their S-pair is zero) and coprime leads (it reduces to
+    # zero).
+    pairs: list[tuple[int, int, Monomial, int, int]] = []
+    seq = itertools.count()
+
+    def push_pairs(k: int):
+        lead, tail = basis[k]
+        for t in range(k):
+            other, other_tail = basis[t]
+            if tail is None and other_tail is None:
+                continue
+            lcm = _lcm(lead, other)
+            if lcm == _add(lead, other):
+                continue
+            heapq.heappush(pairs, (sum(lcm), next(seq), lcm, k, t))
+
+    for k in range(len(basis)):
+        push_pairs(k)
     while pairs:
-        i, j = pairs.pop(0)
-        s = _s_pair(basis[i], basis[j], order)
+        _, _, lcm, i, j = heapq.heappop(pairs)
+        s = _s_pair(basis[i], basis[j], lcm, order)
         if s is None:
             continue
         r = reduce(s, basis, order)
         if r is None:
             continue
         basis.append(r)
-        k = len(basis) - 1
-        pairs.extend((k, t) for t in range(k))
-        pairs.sort(key=lambda ij: sum(_lcm(basis[ij[0]][0], basis[ij[1]][0])))
+        push_pairs(len(basis) - 1)
 
     return _autoreduce(basis, order)
 
 
 def _autoreduce(basis: list[Element], order: MonomialOrderSpec) -> list[Element]:
-    """Inter-reduce to the unique reduced basis, sorted by leading term."""
-    changed = True
-    current = list(basis)
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            others = current[:i] + current[i + 1 :]
-            r = reduce(current[i], others, order)
-            if r != current[i]:
-                changed = True
-                if r is None:
-                    current = others
-                else:
-                    current = others + [r]
-                break
-    current.sort(key=lambda e: order.key(e[0]))
-    return current
+    """The unique reduced basis, sorted by leading term: one pass keeps the
+    elements whose lead no smaller lead divides, then reduces each tail
+    against the others."""
+    minimal: list[Element] = []
+    for e in sorted(basis, key=lambda e: order.key(e[0])):
+        # a divisor of a monomial precedes it in every monomial order
+        if not any(_divides(m[0], e[0]) for m in minimal):
+            minimal.append(e)
+    # No lead divides another, so only binomial tails reduce, and a tail
+    # never reduces to its own lead: no element vanishes or changes lead.
+    return [e if e[1] is None else reduce(e, minimal[:i] + minimal[i + 1:], order)
+            for i, e in enumerate(minimal)]
 
 
 def initial_ideal(gb: list[Element], order: MonomialOrderSpec) -> list[Monomial]:
@@ -221,11 +231,34 @@ def initial_ideal(gb: list[Element], order: MonomialOrderSpec) -> list[Monomial]
     return minimal
 
 
+def krull_dimension(p: PresentedQuotient,
+                    order: MonomialOrderSpec | None = None) -> int:
+    """Krull dimension of the presented ring, read off the initial ideal of
+    its relations: the size of the largest set of variables that contains
+    the support of no minimal leading term (-1 for the zero ring)."""
+    order = order or MonomialOrderSpec("lex")
+    gb = buchberger(p, order)
+    supports = {
+        frozenset(i for i, e in enumerate(m) if e)
+        for m in initial_ideal(gb, order)
+    }
+    nvars = len(p.variables)
+    for size in range(nvars, -1, -1):
+        for chosen in itertools.combinations(range(nvars), size):
+            if not any(s.issubset(chosen) for s in supports):
+                return size
+    return -1
+
+
 def count_standard_monomials(gens: list[Monomial]) -> int:
     """Number of monomials outside the monomial ideal given by `gens`.
 
     Requires a pure power of every variable among the generators (so the
-    count is finite); counts by pruned traversal of the bounding box.
+    count is finite).  Splits on one variable at a time: the generators
+    that can still divide a point change only at their own exponents in
+    that variable, so each slab between consecutive exponents is counted
+    once and multiplied by its width; the last two variables are a
+    staircase area.
     """
     if not gens:
         raise DimensionError("empty generating set has infinite colength")
@@ -245,20 +278,32 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
         )
 
     def count(idx: int, active: list[Monomial]) -> int:
-        if not active:  # nothing can divide any extension: full box remains
-            total = 1
-            for b in bounds[idx:]:
-                total *= b
-            return total
-        if idx == nvars:
-            return 0  # some generator fully divides the chosen point
-        total = 0
-        for e in range(bounds[idx]):
-            nxt = [g for g in active if g[idx] <= e]
-            if any(all(x == 0 for x in g[idx + 1 :]) for g in nxt):
-                continue  # already divisible regardless of later choices
-            total += count(idx + 1, nxt)
-        return total
+        # `active` holds the generators that divide the chosen point in the
+        # variables before idx.  The pure powers of the remaining variables
+        # are always among them, so it is never empty.
+        if idx == nvars - 1:
+            return min(g[idx] for g in active)
+        if idx == nvars - 2:
+            area, prev, height = 0, 0, bounds[idx + 1]
+            for a, b in sorted((g[idx], g[idx + 1]) for g in active):
+                area += (a - prev) * height
+                prev = a
+                if b < height:
+                    height = b
+                    if not height:
+                        break
+            return area
+        # Slabs run from one exponent of x_idx among the generators to the
+        # next; the pure power of x_idx ends the last one.
+        active = sorted(active, key=lambda g: g[idx])
+        total, k = 0, 0
+        while True:
+            lo = active[k][idx]
+            while active[k][idx] == lo:
+                if not any(active[k][idx + 1:]):
+                    return total  # x_idx^lo already divides every extension
+                k += 1
+            total += (active[k][idx] - lo) * count(idx + 1, active[:k])
 
     return count(0, list(gens))
 

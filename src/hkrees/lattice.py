@@ -138,13 +138,6 @@ class MonomialIdeal2D:
 _UNIT = MonomialIdeal2D(((0, 0),))
 
 
-def _power_list(ideal: MonomialIdeal2D, top: int) -> list[MonomialIdeal2D]:
-    powers = [_UNIT]
-    for _ in range(top):
-        powers.append(powers[-1].multiply(ideal))
-    return powers
-
-
 def quotient_length(num: MonomialIdeal2D, den: MonomialIdeal2D) -> int:
     """Number of lattice points in num but not in den (den must sit inside num
     with finite-dimensional quotient)."""

@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import closed_forms as cf
 from . import engine, lattice
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .estimator import ColengthSample
 
 
@@ -183,7 +183,14 @@ def semigroup_extrees(s: lattice.Semigroup2D) -> Preset:
 
 def presentation(p: engine.PresentedQuotient,
                  order: engine.MonomialOrderSpec | None = None) -> Preset:
-    """Arbitrary presented quotient fed straight to the engine."""
+    """Arbitrary presented quotient fed straight to the engine.  Its
+    declared dimension must be the Krull dimension of its relations."""
+    actual = engine.krull_dimension(p, order)
+    if actual != p.dimension:
+        raise DimensionError(
+            f"declared dim: {p.dimension}, but the relations give Krull "
+            f"dimension {actual}"
+        )
     parts = [f"vars={','.join(p.variables)}"]
     for b in p.binomials:
         parts.append(f"bin={b.plus}-{b.minus}")

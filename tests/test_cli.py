@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hkrees import presets
-from hkrees.cache import ColengthCache, cached_counter
+from hkrees.cache import ENGINE_VERSION, ColengthCache, _key, cached_counter
 from hkrees.cli import main
 from hkrees.errors import ParameterError
 
@@ -100,6 +100,24 @@ def test_cache_ignores_garbage_lines(tmp_path):
     assert ColengthCache(str(path)).get("a", 2) == 5
 
 
+def test_cache_counts_rejected_lines(tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = {"hash": "h", "q": 2, "count": 5, "version": ENGINE_VERSION}
+    lines = [
+        good,
+        dict(good, q=3, count=True),  # a bool is not a count
+        dict(good, q=4, hash=["h"]),  # unhashable key
+        dict(good, q=5, version="0"),  # another engine version: not rejected
+        "plain string",
+    ]
+    text = "".join(json.dumps(x) + "\n" for x in lines)
+    text += json.dumps(dict(good, q=6)) + "trailing\n{torn"
+    path.write_text(text)
+    cache = ColengthCache(str(path))
+    assert cache.entries() == [good]
+    assert cache.rejected == 5
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -136,6 +154,14 @@ def test_formula_stirling_table(capsys):
     assert out.split() == [
         "1", "511", "9330", "34105", "42525", "22827", "5880", "750", "45", "1"
     ]
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_formula_stirling_table_rejects_n_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "formula", "stirling-table", "--n", n)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: n must be >= 1, got {n}\n"
 
 
 def test_formula_json(capsys):
@@ -204,6 +230,20 @@ def test_oracle_presentation_file(capsys, tmp_path):
     assert "leading estimate: 3/2" in out
 
 
+def test_oracle_presentation_wrong_dimension_exit_3(capsys, tmp_path):
+    f = tmp_path / "pres.txt"
+    f.write_text("vars: x y z\nbin: x*y - z^2\ndim: 5\n")
+    code, out, err = run_cli(
+        capsys, "oracle", "--preset", "presentation", "--file", str(f),
+        "--q", "2,4",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: declared dim: 5, but the relations give Krull dimension 2\n"
+    )
+
+
 def test_oracle_output_identical_with_and_without_cache(capsys, tmp_path):
     argv = ["oracle", "--preset", "ci-rees", "--m", "2", "--n", "2",
             "--q", "4,8,16", "--json"]
@@ -258,6 +298,31 @@ def test_cache_command(capsys, tmp_path):
     assert code == 0
     code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
     assert "0 entries" in out
+
+
+AN2_HASH = _key("an-hypersurface n=2")
+
+
+@pytest.mark.parametrize("record", [
+    [1, 2],
+    {"hash": AN2_HASH, "q": 4, "version": ENGINE_VERSION},
+    {"hash": AN2_HASH, "q": 4, "count": "oops", "version": ENGINE_VERSION},
+], ids=["not-a-dict", "no-count", "count-not-int"])
+def test_oracle_recomputes_over_malformed_cache_record(capsys, tmp_path, record):
+    argv = ["oracle", "--preset", "an-hypersurface", "--n", "2", "--q", "2,4",
+            "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "colengths.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert err == ""
+    assert out == plain
+    assert json.loads(out)["samples"] == [[2, 6], [4, 24]]
+    cache = ColengthCache(str(path))  # the recomputed count was appended
+    assert cache.rejected == 1
+    assert cache.get("an-hypersurface n=2", 4) == 24
 
 
 def test_missing_file_exit_3(capsys):

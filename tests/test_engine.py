@@ -4,7 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hkrees import lattice
 from hkrees.engine import (
     MonomialOrderSpec,
     PresentedQuotient,
@@ -14,6 +17,7 @@ from hkrees.engine import (
     format_monomial,
     frobenius_colength,
     initial_ideal,
+    krull_dimension,
     parse_monomial,
     parse_presentation,
     reduce,
@@ -131,6 +135,92 @@ def test_count_standard_monomials_against_brute_force():
     assert count_standard_monomials(random_gens) == brute_force_standard_count(
         random_gens
     )
+
+
+@st.composite
+def artinian_monomial_ideals(draw):
+    """Generators of a random Artinian monomial ideal in 2-5 variables: a
+    pure power of every variable plus a few mixed monomials."""
+    nvars = draw(st.integers(2, 5))
+    gens = [
+        tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(nvars))
+        for i in range(nvars)
+    ]
+    mixed = st.tuples(*[st.integers(0, 4)] * nvars).filter(any)
+    gens += draw(st.lists(mixed, max_size=6))
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=80, deadline=None)
+@given(artinian_monomial_ideals())
+def test_count_standard_monomials_property(gens):
+    assert count_standard_monomials(gens) == brute_force_standard_count(gens)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 40))
+def test_an_hypersurface_engine_matches_semigroup_lattice(n, q):
+    """k[x,y,z]/(xy - z^n) is the semigroup ring of A_n: the engine and the
+    lattice counter agree at every q, not only at powers of two."""
+    assert frobenius_colength(xy_z(n), q, LEX) == lattice.semigroup_ehk_colength(
+        lattice.semigroup_binomial_an(n), q
+    )
+
+
+def is_reduced(gb):
+    leads = [lead for lead, _ in gb]
+    for lead, tail in gb:
+        for other in leads:
+            if other != lead and all(a <= b for a, b in zip(other, lead)):
+                return False
+            if tail is not None and all(a <= b for a, b in zip(other, tail)):
+                return False
+    return True
+
+
+def homogeneous_binomials(degree):
+    monomials = [m for m in itertools.product(range(degree + 1), repeat=3)
+                 if sum(m) == degree]
+    pick = st.sampled_from(monomials)
+    return st.tuples(pick, pick).filter(lambda b: b[0] != b[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3).flatmap(homogeneous_binomials),
+             min_size=1, max_size=3),
+    st.integers(1, 5),
+    st.sampled_from([LEX, GREVLEX]),
+)
+def test_buchberger_output_is_reduced_and_order_free(binomials, q, order):
+    """For random homogeneous relations the result is a reduced basis, and
+    the colength it gives does not depend on the monomial order."""
+    p = PresentedQuotient(
+        ("x", "y", "z"),
+        tuple(PureDifferenceBinomial(a, b) for a, b in binomials),
+        (),
+        1,
+    )
+    powers = ((q, 0, 0), (0, q, 0), (0, 0, q))
+    gb = buchberger(p, order, extra_monomials=powers)
+    assert is_reduced(gb)
+    assert gb == sorted(gb, key=lambda e: order.key(e[0]))
+    assert frobenius_colength(p, q, LEX) == frobenius_colength(p, q, GREVLEX)
+
+
+def test_krull_dimension_of_relations():
+    assert krull_dimension(xy_z(3)) == 2
+    assert krull_dimension(PresentedQuotient(("x", "y"), (), (), 2)) == 2
+    twisted_cubic, _ = parse_presentation(
+        "vars: a b c d\nbin: a*c - b^2\nbin: a*d - b*c\nbin: b*d - c^2\ndim: 2"
+    )
+    assert krull_dimension(twisted_cubic) == 2
+    assert krull_dimension(twisted_cubic, GREVLEX) == 2
+    # (x, y) in k[x, y, z] leaves k[z]; the unit ideal leaves the zero ring
+    assert krull_dimension(
+        PresentedQuotient(("x", "y", "z"), (), ((1, 0, 0), (0, 1, 0)), 1)
+    ) == 1
+    assert krull_dimension(PresentedQuotient(("x",), (), ((0,),), 1)) == -1
 
 
 def test_frobenius_regular_ring():
