@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 check failure, 2 usage error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -217,6 +218,8 @@ def cmd_cache(args) -> int:
     return 0
 
 
+# No argument has a mutable default, so one parser serves every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkrees",
@@ -276,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, DimensionError, RankError, ClosureError,

@@ -1,10 +1,10 @@
 """Direct lattice-point colength counters.
 
 Each counter returns the exact colength of a bracket power as an integer,
-computed from explicit graded-piece descriptions: staircase counts for
-Segre products, Veronese Rees algebras and Rees algebras of 2D monomial
-ideals, and dynamic-programming membership grids for 2D affine semigroup
-rings and their extended Rees algebras.
+computed from explicit graded-piece descriptions: staircase areas for
+Rees algebras of 2D monomial ideals, alpha tables for Segre products and
+Veronese Rees algebras, and membership columns on a proven box for 2D
+affine semigroup rings and their extended Rees algebras.
 """
 
 from __future__ import annotations
@@ -13,8 +13,28 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_forms import alpha, alpha_q
 from .errors import DimensionError, ParameterError, RankError
+
+# ---------------------------------------------------------------------------
+# Monomial counts in d variables
+
+
+def _alpha_tables(d: int, top: int, q: int) -> tuple[list[int], list[int]]:
+    """[alpha(d, m)] and [alpha_q(d, m, q)] for 0 <= m <= top.
+
+    alpha(d, m) = C(m+d-1, d-1) follows the exact ratio recurrence
+    alpha(d, m+1) = alpha(d, m) (m+d) / (m+1); alpha_q(d, ., q) are the
+    coefficients of that series times (1 - t^q)^d.
+    """
+    al = [1]
+    for m in range(top):
+        al.append(al[-1] * (m + d) // (m + 1))
+    aq = al[:]
+    for _ in range(d):
+        for m in range(top, q - 1, -1):
+            aq[m] -= aq[m - q]
+    return al, aq
+
 
 # ---------------------------------------------------------------------------
 # Segre products
@@ -26,31 +46,38 @@ def segre_colength(c: int, d: int, q: int) -> int:
     if c < 1 or d < 1 or q < 1:
         raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
     top = max(c, d) * (q - 1)
-    total = 0
-    for n in range(top + 1):
-        acq, adq = alpha_q(c, n, q), alpha_q(d, n, q)
-        total += alpha(c, n) * adq + acq * alpha(d, n) - acq * adq
-    return total
+    ac, acq = _alpha_tables(c, top, q)
+    ad, adq = _alpha_tables(d, top, q)
+    return sum(
+        x * yq + xq * y - xq * yq for x, xq, y, yq in zip(ac, acq, ad, adq)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Veronese Rees algebras
 
 
+def _beta(al: list[int], aq: list[int], c: int, q: int, n: int) -> int:
+    """beta_{n,cq} from al[l] = alpha(d, l) for l < c and
+    aq[m] = alpha_cq(d, m), which is 0 past the end of the table."""
+    total = 0
+    for l in range(c):
+        m = c * (n - l * q)
+        if 0 <= m < len(aq):
+            total += al[l] * aq[m]
+    return total
+
+
 def veronese_beta(d: int, c: int, n: int, cq: int) -> int:
     """Graded dimension of the degree-c Veronese of d variables modulo the
     bracket power generated by the cq-th powers of the degree-c monomials."""
+    if c < 1 or d < 1 or cq < c:
+        raise ParameterError(f"need c, d >= 1 and cq >= c, got ({c}, {d}, {cq})")
     q, rem = divmod(cq, c)
     if rem:
         raise ParameterError(f"cq={cq} not divisible by c={c}")
-    total = 0
-    for l in range(c):
-        inner = sum(
-            (-1) ** i * math.comb(d, i) * alpha(d, c * (n - l * q - i * q))
-            for i in range(d + 1)
-        )
-        total += alpha(d, l) * inner
-    return total
+    al, aq = _alpha_tables(d, d * (cq - 1), cq)
+    return _beta(al, aq, c, q, n)
 
 
 def veronese_rees_colength(c: int, d: int, q: int) -> int:
@@ -62,20 +89,14 @@ def veronese_rees_colength(c: int, d: int, q: int) -> int:
     if c < 1 or d < 1 or q < 1:
         raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
     cq = c * q
-    # beta_{n,cq} vanishes once every alpha argument is negative
-    n_top = (c - 1) * q + d * q + 2
-    betas = [veronese_beta(d, c, n, cq) for n in range(n_top + 1)]
-    while betas[-1] != 0 or betas[-2] != 0:
-        n_top += q
-        betas += [veronese_beta(d, c, n, cq) for n in range(len(betas), n_top + 1)]
-    total = 0
+    al, aq = _alpha_tables(d, max(d * (cq - 1), c * (2 * cq - 2)), cq)
+    a2q = _alpha_tables(2, 2 * cq - 2, cq)[1]
+    # beta_n needs c(n - (c-1)q) <= d(cq - 1), so it vanishes for n >= (c+d-1)q
+    betas = [_beta(al, aq, c, q, n) for n in range((c + d - 1) * q)]
+    total = sum((n + 1) * b for n, b in enumerate(betas))
     for n in range(2 * cq - 1):
-        a2q = alpha_q(2, n, cq)
-        beta_n = alpha(d, c * n)
         beta_ncq = betas[n] if n < len(betas) else 0
-        total += a2q * beta_n - a2q * beta_ncq
-    for n, b in enumerate(betas):
-        total += (n + 1) * b
+        total += a2q[n] * (al[c * n] - beta_ncq)
     return total
 
 
@@ -138,22 +159,32 @@ class MonomialIdeal2D:
 _UNIT = MonomialIdeal2D(((0, 0),))
 
 
+def _staircase_area(ideal: MonomialIdeal2D, rows: int) -> int:
+    """Sum of the finite thresholds over rows b < rows, where rows exceeds
+    every generator's y-exponent: generator j owns rows [b_j, b_{j-1})."""
+    total = 0
+    for a, b in ideal.gens:
+        total += a * (rows - b)
+        rows = b
+    return total
+
+
 def quotient_length(num: MonomialIdeal2D, den: MonomialIdeal2D) -> int:
     """Number of lattice points in num but not in den (den must sit inside num
     with finite-dimensional quotient)."""
+    ng = num.gens
+    j = 0
+    for a, b in den.gens:  # y-exponents descend, so num's pointer only advances
+        while j < len(ng) and ng[j][1] > b:
+            j += 1
+        if j == len(ng) or ng[j][0] > a:
+            raise DimensionError(
+                f"staircase quotient needs den inside num; ({a}, {b}) is not in num"
+            )
     rows = max(num.max_y(), den.max_y()) + 1
-    stable_num, stable_den = num.threshold(rows), den.threshold(rows)
-    if stable_num != stable_den:
+    if num.threshold(rows) != den.threshold(rows) or ng[-1][1] != den.gens[-1][1]:
         raise DimensionError("quotient of staircases is infinite-dimensional")
-    total = 0
-    for b in range(rows):
-        t1, t2 = num.threshold(b), den.threshold(b)
-        if t2 is math.inf:
-            if t1 is math.inf:
-                continue
-            raise DimensionError("quotient of staircases is infinite-dimensional")
-        total += t2 - t1
-    return total
+    return _staircase_area(den, rows) - _staircase_area(num, rows)
 
 
 def rees_monomial_colength(ideal: MonomialIdeal2D, q: int, mode: str) -> int:
@@ -253,74 +284,67 @@ def equality_criterion(s: Semigroup2D) -> bool:
     )
 
 
+def _box(s: Semigroup2D, q: int) -> tuple[int, int]:
+    """Corner of a box [0, W] x [0, H] that holds every point the q-th
+    counters count.  A point outside every q*g_i + S has all n_i <= q-1 in
+    each representation sum n_i g_i, so it lies in
+    [0, (q-1) sum a_i] x [0, (q-1) sum b_i]."""
+    return (
+        (q - 1) * sum(a for a, _ in s.generators),
+        (q - 1) * sum(b for _, b in s.generators),
+    )
+
+
 class _SemigroupGrid:
-    """Membership and order-function tables for a semigroup on a bounded grid."""
+    """Order function of a semigroup on a width x height grid."""
 
     def __init__(self, s: Semigroup2D, width: int, height: int):
-        self.s = s
-        self.width = width
-        self.height = height
         gens = s.generators
-        NEG = -1
-        ordv = [[NEG] * height for _ in range(width)]
+        ordv = [[-1] * height for _ in range(width)]
         ordv[0][0] = 0
         for x in range(width):
             col = ordv[x]
             for y in range(height):
-                best = NEG
+                best = col[y]
                 for ga, gb in gens:
                     px, py = x - ga, y - gb
                     if px >= 0 and py >= 0:
                         prev = ordv[px][py]
-                        if prev >= 0 and prev + 1 > best:
+                        if prev >= 0 and prev >= best:
                             best = prev + 1
-                if best > col[y]:
-                    col[y] = best
+                col[y] = best
         self.ord = ordv
-
-    def order(self, x: int, y: int) -> int:
-        """Largest n with (x, y) in m^n; -1 if (x, y) is not in the semigroup."""
-        if 0 <= x < self.width and 0 <= y < self.height:
-            return self.ord[x][y]
-        raise IndexError((x, y))
-
-
-def _grid_for(s: Semigroup2D, q: int, margin: int) -> _SemigroupGrid:
-    width = q * s.a + margin * max(1, s.a)
-    height = q * s.b + margin * max(1, s.b)
-    return _SemigroupGrid(s, width + 1, height + 1)
 
 
 def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
     """Number of semigroup elements outside every translate q*g_i + S:
-    the colength of the q-th bracket power of the maximal ideal."""
+    the colength of the q-th bracket power of the maximal ideal.
+
+    Column x of the box is an int whose bit y says (x, y) is in S."""
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    margin = (s.a + s.b + 2) ** 2
-    while True:
-        grid = _grid_for(s, q, margin)
-        gens = s.generators
-        total = 0
-        boundary_hit = False
-        bx = grid.width - s.a - 1
-        by = grid.height - s.b - 1
-        for x in range(grid.width):
-            for y in range(grid.height):
-                if grid.ord[x][y] < 0:
-                    continue
-                covered = any(
-                    x - q * ga >= 0
-                    and y - q * gb >= 0
-                    and grid.ord[x - q * ga][y - q * gb] >= 0
-                    for ga, gb in gens
-                )
-                if not covered:
-                    total += 1
-                    if x >= bx or y >= by:
-                        boundary_hit = True
-        if not boundary_hit:
-            return total
-        margin *= 2  # counted region touched the grid edge; enlarge and retry
+    width, height = _box(s, q)
+    mask = (1 << (height + 1)) - 1
+    b0 = s.b  # g_0 = (0, b); every other generator has a_i > 0
+    cols: list[int] = []
+    total = 0
+    for x in range(width + 1):
+        col = int(x == 0)
+        for ga, gb in s.generators[1:]:
+            if ga <= x:
+                col |= cols[x - ga] << gb
+        shift = b0
+        while shift <= height:  # close under + (0, b) by doubling shifts
+            col |= col << shift
+            shift <<= 1
+        col &= mask
+        cols.append(col)
+        covered = 0
+        for ga, gb in s.generators:
+            if q * ga <= x:
+                covered |= cols[x - q * ga] << (q * gb)
+        total += (col & ~covered).bit_count()
+    return total
 
 
 def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
@@ -329,46 +353,38 @@ def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
 
     The graded pieces are piecewise in the degree n; each n-range contributes
     per-point counts expressed through the order function ord(s) and
-    phi(s) = max_i ord(s - q g_i), aggregated in one grid pass.
+    phi(s) = max_i ord(s - q g_i), aggregated in one pass over the box of
+    `_box`.  Points contributing to n < 0 have ord <= q-2, so they lie in
+    it.  Points contributing to n >= q have phi < ord - q; in a
+    representation of total ord every n_i <= q-1 (else s - q g_i has
+    ord >= ord(s) - q), so they lie in it too.
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    margin = (s.a + s.b + 2) ** 2
-    while True:
-        grid = _grid_for(s, q, margin)
-        gens = s.generators
-        total = 0
-        boundary_hit = False
-        bx = grid.width - s.a - 1
-        by = grid.height - s.b - 1
-        for x in range(grid.width):
-            for y in range(grid.height):
-                o = grid.ord[x][y]
-                if o < 0:
-                    continue
-                phi = -1
-                for ga, gb in gens:
-                    px, py = x - q * ga, y - q * gb
-                    if px >= 0 and py >= 0 and grid.ord[px][py] > phi:
-                        phi = grid.ord[px][py]
-                contrib = 0
-                # degrees -q < n < 0: point counts against l(A/m^{n+q})
-                if o <= q - 2:
-                    contrib += q - 1 - o
-                # degrees 0 <= n <= q-1: point survives iff outside m^{[q]}
-                if phi < 0:
-                    contrib += min(q - 1, o) - max(0, o - q + 1) + 1
-                # degrees n >= q: n ranges over [max(q, phi+q+1, o-q+1), o]
-                lo = max(q, phi + q + 1, o - q + 1)
-                if o >= lo:
-                    contrib += o - lo + 1
-                if contrib:
-                    total += contrib
-                    if x >= bx or y >= by:
-                        boundary_hit = True
-        if not boundary_hit:
-            return total
-        margin *= 2
+    width, height = _box(s, q)
+    ordv = _SemigroupGrid(s, width + 1, height + 1).ord
+    qgens = [(q * ga, q * gb) for ga, gb in s.generators]
+    total = 0
+    for x, col in enumerate(ordv):
+        for y, o in enumerate(col):
+            if o < 0:
+                continue
+            phi = -1
+            for qa, qb in qgens:
+                px, py = x - qa, y - qb
+                if px >= 0 and py >= 0 and ordv[px][py] > phi:
+                    phi = ordv[px][py]
+            # degrees -q < n < 0: point counts against l(A/m^{n+q})
+            if o <= q - 2:
+                total += q - 1 - o
+            # degrees 0 <= n <= q-1: point survives iff outside m^{[q]}
+            if phi < 0:
+                total += min(q - 1, o) - max(0, o - q + 1) + 1
+            # degrees n >= q: n ranges over [max(q, phi+q+1, o-q+1), o]
+            lo = max(q, phi + q + 1, o - q + 1)
+            if o >= lo:
+                total += o - lo + 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +413,8 @@ def semigroup_double_point(n: int) -> Semigroup2D:
 
 
 def parse_semigroup(text: str) -> Semigroup2D:
-    """Parse `sg: (3,0) (1,1) (0,3)` (generator order is normalized)."""
+    """Parse `sg: (3,0) (1,1) (0,3)` (generator order is normalized and
+    repeated generators are dropped)."""
     line = text.strip()
     if line.startswith("sg:"):
         line = line[3:]
@@ -407,8 +424,7 @@ def parse_semigroup(text: str) -> Semigroup2D:
         if len(xs) != 2:
             raise ParameterError(f"bad generator {chunk!r}")
         pairs.append((int(xs[0]), int(xs[1])))
-    pairs.sort()
-    return Semigroup2D(tuple(pairs))
+    return Semigroup2D(tuple(sorted(set(pairs))))
 
 
 def parse_monomial_ideal(lines) -> MonomialIdeal2D:

@@ -1,9 +1,13 @@
 """Tests for presets, the cache, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hkrees
 from hkrees import presets
 from hkrees.cache import ENGINE_VERSION, ColengthCache, _key, cached_counter
 from hkrees.cli import main
@@ -331,3 +335,43 @@ def test_missing_file_exit_3(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+def test_oracle_drops_repeated_semigroup_generators(capsys, tmp_path):
+    plain, repeated = tmp_path / "plain.txt", tmp_path / "repeated.txt"
+    plain.write_text("sg: (0,2) (1,1) (2,0)\n")
+    repeated.write_text("sg: (0,2) (1,1) (1,1) (2,0)\n")
+    cache_dir = str(tmp_path / "cache")
+    for extra in ([], ["--json"], ["--json", "--cache-dir", cache_dir]):
+        outs = []
+        for f in (plain, repeated):
+            code, out, err = run_cli(
+                capsys, "oracle", "--preset", "semigroup", "--file", str(f),
+                "--q", "2,4", *extra,
+            )
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+    # the repeated file hit the records the plain one wrote: same description
+    cache = ColengthCache(os.path.join(cache_dir, "colengths.jsonl"))
+    assert len(cache.entries()) == 2
+
+
+def test_main_called_repeatedly_matches_fresh_processes(capsys):
+    runs = [
+        ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "2,4"],
+        ["formula", "segre", "--c", "2", "--d", "3", "--json"],
+        ["check", "--suite", "assembly"],
+        ["formula", "conca", "--ds", "0", "--es", "1"],
+        ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "2,4"],
+    ]
+    src = os.path.dirname(os.path.dirname(hkrees.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in runs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hkrees.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run_cli(capsys, *argv) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv

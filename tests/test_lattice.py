@@ -1,11 +1,15 @@
 """Tests for the lattice-point colength counters."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrees import closed_forms as cf
+from hkrees import presets
 from hkrees.engine import (
     MonomialOrderSpec,
     PresentedQuotient,
@@ -61,6 +65,16 @@ def test_segre_matches_engine():
         assert segre_colength(2, 2, q) == frobenius_colength(p, q, LEX)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12))
+def test_segre_colength_matches_direct_alpha_sum(c, d, q):
+    direct = 0
+    for n in range(max(c, d) * (q - 1) + 1):
+        acq, adq = cf.alpha_q(c, n, q), cf.alpha_q(d, n, q)
+        direct += cf.alpha(c, n) * adq + acq * cf.alpha(d, n) - acq * adq
+    assert segre_colength(c, d, q) == direct
+
+
 # ---------------------------------------------------------------------------
 # Veronese Rees
 
@@ -71,6 +85,30 @@ def test_veronese_beta_stable_range():
             for q in (3, 4):
                 for n in range(q):
                     assert veronese_beta(d, c, n, c * q) == cf.alpha(d, c * n)
+
+
+def direct_veronese_beta(d, c, n, q):
+    return sum(
+        cf.alpha(d, l) * (-1) ** i * math.comb(d, i)
+        * cf.alpha(d, c * (n - l * q - i * q))
+        for l in range(c)
+        for i in range(d + 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4))
+def test_veronese_rees_matches_direct_alpha_sum(c, d, q):
+    cq = c * q
+    # generous range: beta vanishes from n = (c+d-1)q on
+    top = max(c + d + 1, 2 * c) * q
+    betas = [direct_veronese_beta(d, c, n, q) for n in range(top)]
+    assert not any(betas[(c + d - 1) * q:])
+    assert [veronese_beta(d, c, n, cq) for n in range(len(betas))] == betas
+    direct = sum((n + 1) * b for n, b in enumerate(betas))
+    for n in range(2 * cq - 1):
+        direct += cf.alpha_q(2, n, cq) * (cf.alpha(d, c * n) - betas[n])
+    assert veronese_rees_colength(c, d, q) == direct
 
 
 def test_veronese_rees_converges_to_closed_form():
@@ -123,6 +161,39 @@ def test_quotient_length_hand_cases():
     assert quotient_length(m, m.multiply(m)) == 2
     with pytest.raises(DimensionError):
         quotient_length(unit, MonomialIdeal2D(((1, 2),)))
+
+
+def test_quotient_length_rejects_den_outside_num():
+    m = MonomialIdeal2D.from_gens([(1, 0), (0, 1)])
+    with pytest.raises(DimensionError):
+        quotient_length(m.multiply(m), m)  # a row scan reads -2
+    ideal = MonomialIdeal2D.from_gens([(0, 2), (3, 1)])
+    with pytest.raises(DimensionError):
+        # a row scan reads -inf: row 0 is empty in num but not in den
+        quotient_length(ideal, ideal.plus(MonomialIdeal2D(((4, 0),))))
+
+
+def staircases(mprimary):
+    pts = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                   min_size=1, max_size=4)
+    if mprimary:
+        pts = st.tuples(pts, st.integers(0, 6), st.integers(0, 6)).map(
+            lambda t: t[0] + [(0, t[1]), (t[2], 0)]
+        )
+    return pts.map(MonomialIdeal2D.from_gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircases(False), staircases(True), staircases(True))
+def test_quotient_length_matches_row_scan(num, j, k):
+    den = num.multiply(j).plus(num.multiply(k).multiply(k))
+    rows = max(num.max_y(), den.max_y()) + 1
+    scan = sum(
+        den.threshold(b) - num.threshold(b)
+        for b in range(rows)
+        if den.threshold(b) != math.inf
+    )
+    assert quotient_length(num, den) == scan
 
 
 def test_rees_maximal_mode_regular_base():
@@ -210,6 +281,41 @@ def test_semigroup_order_function_against_brute_force():
                 )
 
 
+@st.composite
+def semigroups(draw):
+    """Normalized rank-2 semigroups: 0 = a_0 < ... < a_s and
+    b_0 > ... > b_s = 0, with 2 to 4 generators and coordinates <= 4."""
+    s = draw(st.integers(1, 3))
+    a = sorted(draw(st.sets(st.integers(1, 4), min_size=s, max_size=s)))
+    b = sorted(draw(st.sets(st.integers(1, 4), min_size=s, max_size=s)))
+    return Semigroup2D(tuple(zip([0] + a, b[::-1] + [0])))
+
+
+def brute_force_ehk(s, q):
+    """Points of S outside every q*g_i + S, found by set closure on a box
+    twice the proven one, so a point past that bound would show."""
+    width = 2 * q * sum(a for a, _ in s.generators)
+    height = 2 * q * sum(b for _, b in s.generators)
+    members, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for ga, gb in s.generators:
+            p = (x + ga, y + gb)
+            if p[0] <= width and p[1] <= height and p not in members:
+                members.add(p)
+                frontier.append(p)
+    return sum(
+        all((x - q * ga, y - q * gb) not in members for ga, gb in s.generators)
+        for x, y in members
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups(), st.integers(1, 8))
+def test_semigroup_ehk_matches_brute_force(s, q):
+    assert semigroup_ehk_colength(s, q) == brute_force_ehk(s, q)
+
+
 def test_semigroup_ehk_regular():
     s = Semigroup2D(((0, 1), (1, 0)))
     for q in (2, 4, 8):
@@ -267,6 +373,15 @@ def test_semigroup_extrees_binomial_an_converges():
     assert abs(values[-1] - target) < Fraction(1, 100)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 8))
+def test_semigroup_extrees_matches_engine(n, q):
+    """k[x,y,z,w]/(xy - z^n w^(n-2)) is the extended Rees algebra of the
+    A_n semigroup ring: the engine and the lattice counter agree."""
+    s = semigroup_binomial_an(n)
+    assert semigroup_extrees_colength(s, q) == presets.an_extrees(n).counter(q)
+
+
 def test_equality_criterion():
     for c in range(2, 6):
         assert equality_criterion(semigroup_veronese(c))
@@ -287,6 +402,7 @@ def test_named_semigroups():
 def test_parse_semigroup():
     s = parse_semigroup("sg: (3,0) (1,1) (0,3)")
     assert s.generators == ((0, 3), (1, 1), (3, 0))
+    assert parse_semigroup("sg: (1,1) (3,0) (1,1) (0,3)") == s
     with pytest.raises(ParameterError):
         parse_semigroup("sg: (1,2,3)")
 
