@@ -17,18 +17,6 @@ from . import lattice, presets
 from .estimator import estimate
 from .exact import factorial, format_fraction
 
-SUITES = (
-    "theorem1",
-    "theorem2",
-    "cor54",
-    "prop412",
-    "prop57",
-    "lemma13",
-    "assembly",
-    "bcp-compare",
-    "all",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -48,24 +36,12 @@ class CheckResult:
         }
 
 
-def _cmp(check_id: str, ok: bool, lhs, rhs, citation: str) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        status="pass" if ok else "fail",
-        lhs=format_fraction(lhs) if isinstance(lhs, (Fraction, int)) else str(lhs),
-        rhs=format_fraction(rhs) if isinstance(rhs, (Fraction, int)) else str(rhs),
-        citation=citation,
-    )
-
-
-def _report(check_id: str, lhs, rhs, citation: str) -> CheckResult:
-    return CheckResult(
-        check_id=check_id,
-        status="report-only",
-        lhs=format_fraction(lhs) if isinstance(lhs, (Fraction, int)) else str(lhs),
-        rhs=format_fraction(rhs) if isinstance(rhs, (Fraction, int)) else str(rhs),
-        citation=citation,
-    )
+def _cmp(check_id: str, ok: bool | None, lhs, rhs, citation: str) -> CheckResult:
+    """A pass/fail result; ok=None records a report-only observation."""
+    status = "report-only" if ok is None else "pass" if ok else "fail"
+    lhs, rhs = (format_fraction(x) if isinstance(x, (Fraction, int)) else str(x)
+                for x in (lhs, rhs))
+    return CheckResult(check_id, status, lhs, rhs, citation)
 
 
 def suite_theorem1() -> list[CheckResult]:
@@ -74,7 +50,7 @@ def suite_theorem1() -> list[CheckResult]:
     out = []
     for n in range(2, 11):
         base = cf.conca_ehk([1, 1], [n])
-        ext = 2 - Fraction(2 * (n + 1), 3 * n * n)
+        ext = cf.an_extrees_ehk(n)
         out.append(_cmp(
             f"theorem1/chain-n{n}",
             base <= ext <= 2,
@@ -82,7 +58,7 @@ def suite_theorem1() -> list[CheckResult]:
             "hypersurface value <= extended-Rees value <= e",
         ))
     base2 = cf.conca_ehk([1, 1], [2])
-    ext2 = 2 - Fraction(2 * 3, 12)
+    ext2 = cf.an_extrees_ehk(2)
     out.append(_cmp(
         "theorem1/equality-n2",
         base2 == ext2 == Fraction(3, 2),
@@ -161,7 +137,7 @@ def suite_prop412() -> list[CheckResult]:
     return out
 
 
-def suite_prop57(q_values=(12, 24, 48)) -> list[CheckResult]:
+def suite_prop57() -> list[CheckResult]:
     """Equality criterion a_i/a + b_i/b = 1 for all generators, plus
     bracket overlap/disjointness of the base and extended-Rees estimates
     on one true case and one false case."""
@@ -184,6 +160,7 @@ def suite_prop57(q_values=(12, 24, 48)) -> list[CheckResult]:
         ))
 
     def brackets(s):
+        q_values = (12, 24, 48)
         base = estimate(
             [presets.semigroup(s).sample(q) for q in q_values], 2
         ).bracket
@@ -225,8 +202,7 @@ def suite_lemma13() -> list[CheckResult]:
         band(f"lemma13/an-n{n}", 2, 2, cf.conca_ehk([1, 1], [n]),
              "hypersurface, e = 2, dim 2")
     for n in range(2, 11):
-        band(f"lemma13/an-extrees-n{n}", 2, 3,
-             2 - Fraction(2 * (n + 1), 3 * n * n),
+        band(f"lemma13/an-extrees-n{n}", 2, 3, cf.an_extrees_ehk(n),
              "extended Rees of the hypersurface, e = 2, dim 3")
     for m in range(1, 7):
         for n in range(1, m + 1):
@@ -247,12 +223,7 @@ def suite_assembly() -> list[CheckResult]:
     for d in range(2, 7):
         for c in range(d, 7):
             p = cf.VeroneseParams(c, d)
-            lhs = (
-                Fraction(c ** (d - 1) * 2 ** (d + 1), factorial(d + 1))
-                + cf.veronese_I_limits(p, max(2 * c, c + d), 1)
-                - 2 * cf.veronese_I_limits(p, 2 * c, 0)
-                + cf.veronese_I_limits(p, 2 * c, 1)
-            )
+            lhs = cf.veronese_rees_ehk_general(p)
             rhs = cf.veronese_rees_ehk(p)
             out.append(_cmp(
                 f"assembly/c{c}d{d}", lhs == rhs, lhs, rhs,
@@ -271,31 +242,34 @@ def suite_bcp_compare() -> list[CheckResult]:
             a = cf.segre_ehk(cf.SegreParams(c, d))
             b = cf.bcp_segre_ehk(cf.SegreParams(c, d))
             tag = " (agree)" if a == b else " (DIFFER)"
-            out.append(_report(
-                f"bcp-compare/c{c}d{d}",
+            out.append(_cmp(
+                f"bcp-compare/c{c}d{d}", None,
                 a, format_fraction(b) + tag,
                 "Stirling-sum formula vs integral formula",
             ))
     return out
 
 
-def run_suite(name: str, fast: bool = False) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for s in SUITES[:-1]:
-            results.extend(run_suite(s, fast=fast))
-        return results
-    table = {
-        "theorem1": suite_theorem1,
-        "theorem2": suite_theorem2,
-        "cor54": suite_cor54,
-        "prop412": suite_prop412,
-        "lemma13": suite_lemma13,
-        "assembly": suite_assembly,
-        "bcp-compare": suite_bcp_compare,
-    }
-    if name == "prop57":
-        return suite_prop57((8, 16, 32) if fast else (12, 24, 48))
-    if name not in table:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return table[name]()
+def suite_all() -> list[CheckResult]:
+    """Every other suite, in table order."""
+    return [r for name, suite in SUITES.items() if name != "all"
+            for r in suite()]
+
+
+SUITES = {
+    "theorem1": suite_theorem1,
+    "theorem2": suite_theorem2,
+    "cor54": suite_cor54,
+    "prop412": suite_prop412,
+    "prop57": suite_prop57,
+    "lemma13": suite_lemma13,
+    "assembly": suite_assembly,
+    "bcp-compare": suite_bcp_compare,
+    "all": suite_all,
+}
+
+
+def run_suite(name: str) -> list[CheckResult]:
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    return SUITES[name]()

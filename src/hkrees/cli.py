@@ -12,11 +12,11 @@ Exit codes: 0 ok, 1 check failure, 2 usage error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import closed_forms as cf
 from . import checks, engine, lattice, presets
@@ -27,7 +27,7 @@ from .exact import format_fraction, stirling2
 
 
 def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join(f"--{n}" for n in missing)
         print(f"error: missing required argument(s): {flags}", file=sys.stderr)
@@ -41,56 +41,47 @@ def _int_list(text: str) -> list[int]:
         raise ParameterError(f"bad integer list {text!r}")
 
 
+def _stirling_row(n: int) -> list[int]:
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    return [stirling2(n, k) for k in range(1, n + 1)]
+
+
+# Each formula family: its CLI flags and its value from them.  The values
+# look closed forms up through `cf` at call time.
+FORMULAS = {
+    "segre": (("c", "d"), lambda c, d: cf.segre_ehk(cf.SegreParams(c, d))),
+    "conca": (("ds", "es"), lambda ds, es: cf.conca_ehk(_int_list(ds), _int_list(es))),
+    "c-of-d": (("d",), lambda d: cf.c_of_d(d)),
+    "veronese-rees": (("c", "d"),
+                      lambda c, d: cf.veronese_rees_ehk(cf.VeroneseParams(c, d))),
+    "veronese-rees-general": (
+        ("c", "d"), lambda c, d: cf.veronese_rees_ehk_general(cf.VeroneseParams(c, d))),
+    "ci-rees": (("m", "n"), lambda m, n: cf.ci_rees_values(m, n)),
+    "bcp-segre": (("c", "d"), lambda c, d: cf.bcp_segre_ehk(cf.SegreParams(c, d))),
+    "stirling-table": (("n",), _stirling_row),
+}
+
+
 def cmd_formula(args) -> int:
-    family = args.family
-    if family == "segre":
-        _require(args, ["c", "d"])
-        value = cf.segre_ehk(cf.SegreParams(args.c, args.d))
-    elif family == "bcp-segre":
-        _require(args, ["c", "d"])
-        value = cf.bcp_segre_ehk(cf.SegreParams(args.c, args.d))
-    elif family == "c-of-d":
-        _require(args, ["d"])
-        value = cf.c_of_d(args.d)
-    elif family == "conca":
-        _require(args, ["ds", "es"])
-        value = cf.conca_ehk(_int_list(args.ds), _int_list(args.es))
-    elif family == "veronese-rees":
-        _require(args, ["c", "d"])
-        value = cf.veronese_rees_ehk(cf.VeroneseParams(args.c, args.d))
-    elif family == "veronese-rees-general":
-        _require(args, ["c", "d"])
-        value = cf.veronese_rees_ehk_general(cf.VeroneseParams(args.c, args.d))
-    elif family == "ci-rees":
-        _require(args, ["m", "n"])
-        v = cf.ci_rees_values(args.m, args.n)
-        doc = {
-            "e_rees": format_fraction(v.e_rees),
-            "ehk_rees": format_fraction(v.ehk_rees),
-            "e_extrees": format_fraction(v.e_extrees),
-            "ehk_extrees": format_fraction(v.ehk_extrees),
-        }
+    flags, value_of = FORMULAS[args.family]
+    _require(args, flags)
+    value = value_of(*(getattr(args, f) for f in flags))
+    if isinstance(value, cf.CiReesValues):
+        doc = {k: format_fraction(x) for k, x in vars(value).items()}
         if args.json:
             print(json.dumps(doc, sort_keys=True))
         else:
             for k, x in doc.items():
                 print(f"{k} = {x}")
-        return 0
-    elif family == "stirling-table":
-        _require(args, ["n"])
-        if args.n < 1:
-            raise ParameterError(f"n must be >= 1, got {args.n}")
-        row = [stirling2(args.n, k) for k in range(1, args.n + 1)]
+    elif isinstance(value, list):  # a Stirling row
         if args.json:
-            print(json.dumps({"n": args.n, "row": row}))
+            print(json.dumps({"n": args.n, "row": value}))
         else:
-            print(" ".join(str(x) for x in row))
-        return 0
-    else:
-        raise ParameterError(f"unknown family {family!r}")
-    if args.json:
+            print(" ".join(str(x) for x in value))
+    elif args.json:
         print(json.dumps({
-            "family": family,
+            "family": args.family,
             "value": format_fraction(value),
             "value_approx": float(value),
         }, sort_keys=True))
@@ -99,48 +90,21 @@ def cmd_formula(args) -> int:
     return 0
 
 
-def _parse_order(args) -> engine.MonomialOrderSpec | None:
-    if args.order is None:
-        return None
-    return engine.MonomialOrderSpec(args.order)
-
-
 def _build_preset(args) -> presets.Preset:
-    name = args.preset
-    order = _parse_order(args)
-    if name == "an-hypersurface":
-        _require(args, ["n"])
-        return presets.an_hypersurface(args.n, order)
-    if name == "an-extrees":
-        _require(args, ["n"])
-        return presets.an_extrees(args.n, order)
-    if name == "segre":
-        _require(args, ["c", "d"])
-        return presets.segre(args.c, args.d)
-    if name == "veronese-rees":
-        _require(args, ["c", "d"])
-        return presets.veronese_rees(args.c, args.d)
-    if name == "ci-rees":
-        _require(args, ["m", "n"])
-        return presets.ci_rees(args.m, args.n)
-    if name == "ci-extrees":
-        _require(args, ["m", "n"])
-        return presets.ci_extrees(args.m, args.n, order)
-    if name in ("semigroup", "semigroup-extrees"):
-        _require(args, ["file"])
+    flags = presets.FAMILIES[args.preset]
+    _require(args, [f for f in flags if f != "order"])
+    order = None if args.order is None else engine.MonomialOrderSpec(args.order)
+    if flags[0] == "file":
         with open(args.file, encoding="utf-8") as fh:
-            s = lattice.parse_semigroup(fh.read())
-        builder = (
-            presets.semigroup if name == "semigroup"
-            else presets.semigroup_extrees
-        )
-        return builder(s)
-    if name == "presentation":
-        _require(args, ["file"])
-        with open(args.file, encoding="utf-8") as fh:
-            p, file_order = engine.parse_presentation(fh.read())
-        return presets.presentation(p, order or file_order)
-    raise ParameterError(f"unknown preset {name!r}")
+            text = fh.read()
+        if args.preset == "presentation":
+            p, file_order = engine.parse_presentation(text)
+            params = [p, order or file_order]
+        else:
+            params = [lattice.parse_semigroup(text)]
+    else:
+        params = [order if f == "order" else getattr(args, f) for f in flags]
+    return getattr(presets, args.preset.replace("-", "_"))(*params)
 
 
 def _grid_values(args) -> list[int]:
@@ -157,15 +121,10 @@ def _grid_values(args) -> list[int]:
 
 def cmd_oracle(args) -> int:
     preset = _build_preset(args)
-    cache = None
     if args.cache_dir:
         cache = ColengthCache(os.path.join(args.cache_dir, "colengths.jsonl"))
-    counter = cached_counter(preset, cache)
-    q_values = sorted(set(_grid_values(args)))
-    samples = [
-        presets.ColengthSample(preset.q_scale * q, counter(q))
-        for q in q_values
-    ]
+        preset = dataclasses.replace(preset, counter=cached_counter(preset, cache))
+    samples = [preset.sample(q) for q in sorted(set(_grid_values(args)))]
     est = estimate(samples, preset.dimension)
     doc = est.to_dict()
     doc["preset"] = preset.description
@@ -189,7 +148,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = checks.run_suite(args.suite, fast=args.fast)
+    results = checks.run_suite(args.suite)
     if args.json:
         print(json.dumps([r.to_dict() for r in results], sort_keys=True))
     else:
@@ -236,10 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", type=int)
 
     f = sub.add_parser("formula", help="evaluate a closed form")
-    f.add_argument("family", choices=[
-        "segre", "conca", "c-of-d", "veronese-rees", "veronese-rees-general",
-        "ci-rees", "bcp-segre", "stirling-table",
-    ])
+    f.add_argument("family", choices=list(FORMULAS))
     add_params(f)
     f.add_argument("--ds", help="comma list of first exponent block")
     f.add_argument("--es", help="comma list of second exponent block")
@@ -247,11 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_formula)
 
     o = sub.add_parser("oracle", help="finite-q colengths and estimate")
-    o.add_argument("--preset", required=True, choices=[
-        "an-hypersurface", "an-extrees", "segre", "veronese-rees",
-        "ci-rees", "ci-extrees", "semigroup", "semigroup-extrees",
-        "presentation",
-    ])
+    o.add_argument("--preset", required=True, choices=list(presets.FAMILIES))
     add_params(o)
     o.add_argument("--file", help="semigroup or presentation file")
     o.add_argument("--q", help="comma list of grid values (default 8,16,32)")
@@ -264,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("check", help="run an invariant suite")
     k.add_argument("--suite", required=True, choices=list(checks.SUITES))
-    k.add_argument("--fast", action="store_true",
-                   help="smaller q grids for the estimator-based checks")
     add_common(k)
     k.set_defaults(func=cmd_check)
 

@@ -82,17 +82,20 @@ def conca_ehk(ds: list[int], es: list[int]) -> Fraction:
     return total
 
 
+def an_extrees_ehk(n: int) -> Fraction:
+    """e_HK of k[x,y,z,w]/(xy - z^n w^(n-2)), the extended Rees algebra of
+    the maximal ideal of the n-th binomial hypersurface, n >= 2."""
+    if n < 2:
+        raise ParameterError(f"n must be >= 2, got {n}")
+    return 2 - Fraction(2 * (n + 1), 3 * n * n)
+
+
 def segre_ehk(p: SegreParams) -> Fraction:
     """e_HK of the Segre product of polynomial rings in c and d variables,
-    via Stirling numbers of the second kind."""
+    assembled from the mixed colength limits: the two one-sided bounded
+    sums minus the two-sided one."""
     c, d = min(p.c, p.d), max(p.c, p.d)  # the product is symmetric
-    m = c + d - 1
-    value = Fraction(factorial(d) * stirling2(m, d), factorial(m))
-    corr = 0
-    for i in range(2, c + 1):
-        for j in range(1, i):
-            corr += binomial(c, i) * binomial(d, j) * (-1) ** (c - i + j) * (i - j) ** m
-    return value - Fraction(corr, factorial(m))
+    return lemma38_limit(d, c) + lemma38_limit(c, d) - lemma39_limit(c, d)
 
 
 def c_of_d(d: int) -> Fraction:

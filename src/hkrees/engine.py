@@ -221,14 +221,10 @@ def _autoreduce(basis: list[Element], order: MonomialOrderSpec) -> list[Element]
 
 
 def initial_ideal(gb: list[Element], order: MonomialOrderSpec) -> list[Monomial]:
-    """Minimal monomial generators of the initial ideal of a Groebner basis."""
-    leads = sorted({e[0] for e in gb}, key=sum)
-    minimal: list[Monomial] = []
-    for m in leads:
-        if not any(_divides(g, m) for g in minimal):
-            minimal.append(m)
-    minimal.sort()
-    return minimal
+    """Minimal monomial generators of the initial ideal of a reduced
+    Groebner basis (as `buchberger` returns), sorted: its leads, which
+    reduction already made distinct and minimal."""
+    return sorted(e[0] for e in gb)
 
 
 def krull_dimension(p: PresentedQuotient,
@@ -405,12 +401,3 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
     )
     return pq, order
 
-
-def format_monomial(m: Monomial, variables: tuple[str, ...]) -> str:
-    parts = []
-    for name, e in zip(variables, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"

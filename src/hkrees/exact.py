@@ -74,20 +74,9 @@ def stirling2_by_sum(n: int, k: int) -> int:
     return num
 
 
-def beta_value(c: int, d: int) -> Fraction:
-    """Exact beta-function value B(c, d) = (c-1)!(d-1)!/(c+d-1)!."""
-    if c < 1 or d < 1:
-        raise ParameterError(f"beta_value requires c, d >= 1, got ({c}, {d})")
-    return Fraction(factorial(c - 1) * factorial(d - 1), factorial(c + d - 1))
-
-
 def format_fraction(x: Fraction | int) -> str:
     """Serialize as "p/q", or plain "p" for integers."""
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)

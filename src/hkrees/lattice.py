@@ -426,25 +426,3 @@ def parse_semigroup(text: str) -> Semigroup2D:
         pairs.append((int(xs[0]), int(xs[1])))
     return Semigroup2D(tuple(sorted(set(pairs))))
 
-
-def parse_monomial_ideal(lines) -> MonomialIdeal2D:
-    """Parse `mi: x^2 y^3` lines, one generator per line, variables x and y."""
-    gens = []
-    for raw in lines if not isinstance(lines, str) else lines.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("mi:"):
-            line = line[3:]
-        a = b = 0
-        for factor in line.split():
-            name, _, power = factor.partition("^")
-            e = int(power) if power else 1
-            if name == "x":
-                a += e
-            elif name == "y":
-                b += e
-            else:
-                raise ParameterError(f"unknown variable {name!r}")
-        gens.append((a, b))
-    return MonomialIdeal2D.from_gens(gens)

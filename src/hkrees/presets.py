@@ -16,6 +16,22 @@ from . import engine, lattice
 from .errors import DimensionError, ParameterError
 from .estimator import ColengthSample
 
+# Each --preset family's CLI flags, in the order its builder (the function
+# of the same name in snake case) takes them.  "file" is read into a
+# semigroup or a presentation; "order", the engine's monomial order, may be
+# left out.
+FAMILIES = {
+    "an-hypersurface": ("n", "order"),
+    "an-extrees": ("n", "order"),
+    "segre": ("c", "d"),
+    "veronese-rees": ("c", "d"),
+    "ci-rees": ("m", "n"),
+    "ci-extrees": ("m", "n", "order"),
+    "semigroup": ("file",),
+    "semigroup-extrees": ("file",),
+    "presentation": ("file", "order"),
+}
+
 
 @dataclass(frozen=True)
 class Preset:
@@ -89,14 +105,13 @@ def an_extrees(n: int,
                order: engine.MonomialOrderSpec | None = None) -> Preset:
     """k[x,y,z,w]/(xy - z^n w^(n-2)), dimension 3: the extended Rees
     algebra of the maximal ideal of the n-th binomial hypersurface."""
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    target = cf.an_extrees_ehk(n)  # rejects n < 2
     return Preset(
         name="an-extrees",
         description=f"an-extrees n={n}",
         dimension=3,
         counter=_engine_counter(_an_extrees_presentation(n), order),
-        target=2 - Fraction(2 * (n + 1), 3 * n * n),
+        target=target,
     )
 
 

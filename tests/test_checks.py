@@ -6,7 +6,7 @@ from hkrees import checks
 
 
 def run(name):
-    return checks.run_suite(name, fast=True)
+    return checks.run_suite(name)
 
 
 @pytest.mark.parametrize(
@@ -36,7 +36,7 @@ def test_bcp_compare_is_report_only():
 
 
 def test_all_runs_every_suite():
-    results = checks.run_suite("all", fast=True)
+    results = checks.run_suite("all")
     prefixes = {r.check_id.split("/")[0] for r in results}
     assert prefixes == {
         "theorem1", "theorem2", "cor54", "prop412", "prop57",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -248,6 +249,26 @@ def test_oracle_presentation_wrong_dimension_exit_3(capsys, tmp_path):
     )
 
 
+def test_oracle_passes_order_to_engine_presets(capsys, monkeypatch):
+    # the colength does not depend on the order, so only the engine sees it
+    from hkrees import engine
+
+    seen = []
+    real = engine.frobenius_colength
+
+    def recording(p, q, order=None):
+        seen.append(order.kind)
+        return real(p, q, order)
+
+    monkeypatch.setattr(engine, "frobenius_colength", recording)
+    for argv in (["an-hypersurface", "--n", "2"], ["an-extrees", "--n", "3"],
+                 ["ci-extrees", "--m", "1", "--n", "2"]):
+        code, _, _ = run_cli(capsys, "oracle", "--preset", *argv, "--q", "2,4",
+                             "--order", "grevlex")
+        assert code == 0
+    assert seen == ["grevlex"] * 6
+
+
 def test_oracle_output_identical_with_and_without_cache(capsys, tmp_path):
     argv = ["oracle", "--preset", "ci-rees", "--m", "2", "--n", "2",
             "--q", "4,8,16", "--json"]
@@ -277,7 +298,7 @@ def test_check_suite_exit_codes(capsys, monkeypatch):
 
     failing = checks_mod.CheckResult("x/y", "fail", "1", "2", "synthetic")
     monkeypatch.setattr(
-        checks_mod, "run_suite", lambda name, fast=False: [failing]
+        checks_mod, "run_suite", lambda name: [failing]
     )
     code, out, _ = run_cli(capsys, "check", "--suite", "assembly")
     assert code == 1
@@ -375,3 +396,18 @@ def test_main_called_repeatedly_matches_fresh_processes(capsys):
         assert run_cli(capsys, *argv) == (
             fresh.returncode, fresh.stdout, fresh.stderr
         ), argv
+
+
+def test_readme_formula_lines_print_their_values(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.startswith("hkrees formula ")]
+    checked = 0
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, _ = run_cli(capsys, *command.split()[1:])
+        assert code == 0, line
+        if re.fullmatch(r"-?\d+(/\d+)?", comment.strip()):
+            assert out.strip() == comment.strip(), line
+            checked += 1
+    assert checked >= 2  # segre --c 4 --d 4 and c-of-d --d 2

@@ -21,7 +21,6 @@ from hkrees.lattice import (
     MonomialIdeal2D,
     Semigroup2D,
     equality_criterion,
-    parse_monomial_ideal,
     parse_semigroup,
     quotient_length,
     rees_monomial_colength,
@@ -405,10 +404,3 @@ def test_parse_semigroup():
     assert parse_semigroup("sg: (1,1) (3,0) (1,1) (0,3)") == s
     with pytest.raises(ParameterError):
         parse_semigroup("sg: (1,2,3)")
-
-
-def test_parse_monomial_ideal():
-    ideal = parse_monomial_ideal("mi: x^2\nmi: y^3\nmi: x y")
-    assert ideal.gens == ((0, 3), (1, 1), (2, 0))
-    with pytest.raises(ParameterError):
-        parse_monomial_ideal("mi: z^2")
