@@ -377,9 +377,10 @@ def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
             # degrees -q < n < 0: point counts against l(A/m^{n+q})
             if o <= q - 2:
                 total += q - 1 - o
-            # degrees 0 <= n <= q-1: point survives iff outside m^{[q]}
+            # degrees 0 <= n <= q-1 with o-q < n <= o: point survives iff
+            # outside m^{[q]}; the range is empty once o >= 2q - 1
             if phi < 0:
-                total += min(q - 1, o) - max(0, o - q + 1) + 1
+                total += max(0, min(q - 1, o) - max(0, o - q + 1) + 1)
             # degrees n >= q: n ranges over [max(q, phi+q+1, o-q+1), o]
             lo = max(q, phi + q + 1, o - q + 1)
             if o >= lo:

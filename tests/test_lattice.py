@@ -381,6 +381,46 @@ def test_semigroup_extrees_matches_engine(n, q):
     assert semigroup_extrees_colength(s, q) == presets.an_extrees(n).counter(q)
 
 
+def brute_force_extrees(s, q):
+    """Colength of M^[q] in R' = A[mt, t^-1] = sum over n of m^n t^n,
+    counted monomial by monomial over a box twice the proven one.
+
+    A monomial is (p, n) with p in S and ord(p) >= n; M^[q] is generated by
+    (q g_i, 0), (q g_i, q) and (0, -q), so (p, n) is in it iff
+    ord(p) >= n + q or ord(p - q g_i) >= n - q for some i."""
+    width = 2 * q * sum(a for a, _ in s.generators)
+    height = 2 * q * sum(b for _, b in s.generators)
+    ord_of = {(0, 0): 0}
+    for x in range(width + 1):  # every p - g_i precedes p in this order
+        for y in range(height + 1):
+            prev = [ord_of[(x - ga, y - gb)] for ga, gb in s.generators
+                    if (x - ga, y - gb) in ord_of]
+            if prev:
+                ord_of[(x, y)] = max(prev) + 1
+    total = 0
+    for (x, y), o in ord_of.items():
+        shifted = [ord_of.get((x - q * ga, y - q * gb), -math.inf)
+                   for ga, gb in s.generators]
+        phi = max(shifted)
+        total += sum(1 for n in range(-q + 1, o + 1)
+                     if o < n + q and phi < n - q)
+    return total
+
+
+def test_semigroup_extrees_forced_value():
+    """Both terms of a^4 c^3 - u^5 b^12, the relation of this extended Rees
+    algebra, lie in M^[3], so the colength at q = 3 is 3^4."""
+    s = Semigroup2D(((0, 3), (1, 1), (4, 0)))
+    counts = [semigroup_extrees_colength(s, q) for q in range(1, 7)]
+    assert counts == [1, 16, 81, 256, 575, 1080]
+
+
+@settings(max_examples=40, deadline=None)
+@given(semigroups(), st.integers(1, 5))
+def test_semigroup_extrees_matches_brute_force(s, q):
+    assert semigroup_extrees_colength(s, q) == brute_force_extrees(s, q)
+
+
 def test_equality_criterion():
     for c in range(2, 6):
         assert equality_criterion(semigroup_veronese(c))
