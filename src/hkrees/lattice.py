@@ -9,6 +9,7 @@ affine semigroup rings and their extended Rees algebras.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,14 +115,7 @@ class MonomialIdeal2D:
 
     @staticmethod
     def from_gens(gens) -> "MonomialIdeal2D":
-        pts = sorted(set(map(tuple, gens)))
-        minimal: list[tuple[int, int]] = []
-        best_b = math.inf
-        for a, b in pts:  # ascending a: keep only strict drops in b
-            if b < best_b:
-                minimal.append((a, b))
-                best_b = b
-        return MonomialIdeal2D(tuple(minimal))
+        return _envelope([sorted(map(tuple, gens))])
 
     def is_mprimary(self) -> bool:
         return (
@@ -142,18 +136,32 @@ class MonomialIdeal2D:
         return best
 
     def multiply(self, other: "MonomialIdeal2D") -> "MonomialIdeal2D":
-        return MonomialIdeal2D.from_gens(
-            (a1 + a2, b1 + b2) for a1, b1 in self.gens for a2, b2 in other.gens
+        return _envelope(
+            [(a + x, b + y) for x, y in self.gens] for a, b in other.gens
         )
 
     def bracket(self, q: int) -> "MonomialIdeal2D":
-        return MonomialIdeal2D.from_gens((q * a, q * b) for a, b in self.gens)
+        return MonomialIdeal2D(tuple((q * a, q * b) for a, b in self.gens))
 
     def plus(self, other: "MonomialIdeal2D") -> "MonomialIdeal2D":
-        return MonomialIdeal2D.from_gens(self.gens + other.gens)
+        return _envelope([self.gens, other.gens])
 
     def max_y(self) -> int:
-        return max(b for _, b in self.gens)
+        return self.gens[0][1]  # y-exponents descend along the staircase
+
+
+def _envelope(runs) -> MonomialIdeal2D:
+    """Minimal staircase of the sum of ideals generated by `runs`, lists of
+    points each sorted by ascending x: merge the runs (timsort merges
+    presorted runs) and keep the lower envelope, the points whose y drops
+    below that of every point before them."""
+    minimal: list[tuple[int, int]] = []
+    best_b = math.inf
+    for a, b in sorted(itertools.chain.from_iterable(runs)):
+        if b < best_b:
+            minimal.append((a, b))
+            best_b = b
+    return MonomialIdeal2D(tuple(minimal))
 
 
 _UNIT = MonomialIdeal2D(((0, 0),))
@@ -172,12 +180,12 @@ def _staircase_area(ideal: MonomialIdeal2D, rows: int) -> int:
 def quotient_length(num: MonomialIdeal2D, den: MonomialIdeal2D) -> int:
     """Number of lattice points in num but not in den (den must sit inside num
     with finite-dimensional quotient)."""
-    ng = num.gens
+    ng, last = num.gens, len(num.gens)
     j = 0
     for a, b in den.gens:  # y-exponents descend, so num's pointer only advances
-        while j < len(ng) and ng[j][1] > b:
+        while j < last and ng[j][1] > b:
             j += 1
-        if j == len(ng) or ng[j][0] > a:
+        if j == last or ng[j][0] > a:
             raise DimensionError(
                 f"staircase quotient needs den inside num; ({a}, {b}) is not in num"
             )
@@ -190,7 +198,15 @@ def quotient_length(num: MonomialIdeal2D, den: MonomialIdeal2D) -> int:
 def rees_monomial_colength(ideal: MonomialIdeal2D, q: int, mode: str) -> int:
     """Colength of the q-th bracket power of (m, It) (mode "maximal-ideal")
     or (I, It) (mode "ideal-power") on the Rees algebra of a 2D m-primary
-    monomial ideal, summed over graded pieces until they vanish."""
+    monomial ideal, summed over graded pieces until they vanish.
+
+    With J = m (maximal-ideal) or J = I (ideal-power), degree n < q is
+    I^n / J^[q] I^n, and degree n >= q is I^n / den(n) with
+    den(n) = J^[q] I^n + I^[q] I^{n-q} (maximal-ideal) or I^[q] I^{n-q}
+    (ideal-power).  In both modes den(n+1) = den(n) I.  So the first piece
+    that vanishes is the last one counted: I^n = den(n) gives
+    I^{n+1} = I^n I = den(n) I = den(n+1), and so on for every later n.
+    """
     if mode not in ("maximal-ideal", "ideal-power"):
         raise ParameterError(f"unknown mode {mode!r}")
     if q < 1:
@@ -200,31 +216,19 @@ def rees_monomial_colength(ideal: MonomialIdeal2D, q: int, mode: str) -> int:
             "ideal must contain pure powers of both variables (m-primary)"
         )
     m = MonomialIdeal2D(((0, 1), (1, 0)))
-    small = m if mode == "maximal-ideal" else ideal
-    small_q = small.bracket(q)
-    ideal_q = ideal.bracket(q)
-
-    powers = [_UNIT]
-
-    def ipow(n: int) -> MonomialIdeal2D:
-        while len(powers) <= n:
-            powers.append(powers[-1].multiply(ideal))
-        return powers[n]
-
+    small_q = (m if mode == "maximal-ideal" else ideal).bracket(q)
+    power = _UNIT  # I^n
     total = 0
-    for n in range(q):
-        total += quotient_length(ipow(n), small_q.multiply(ipow(n)))
-    zeros = 0
-    n = q
-    while zeros < 2:
-        if mode == "maximal-ideal":
-            den = small_q.multiply(ipow(n)).plus(ideal_q.multiply(ipow(n - q)))
-        else:
-            den = ideal_q.multiply(ipow(n - q))
-        piece = quotient_length(ipow(n), den)
+    for _ in range(q):
+        total += quotient_length(power, small_q.multiply(power))
+        power = power.multiply(ideal)
+    den = ideal.bracket(q)  # den(q)
+    if mode == "maximal-ideal":
+        den = den.plus(small_q.multiply(power))
+    while piece := quotient_length(power, den):
         total += piece
-        zeros = zeros + 1 if piece == 0 else 0
-        n += 1
+        power = power.multiply(ideal)
+        den = den.multiply(ideal)
     return total
 
 
@@ -295,39 +299,12 @@ def _box(s: Semigroup2D, q: int) -> tuple[int, int]:
     )
 
 
-class _SemigroupGrid:
-    """Order function of a semigroup on a width x height grid."""
-
-    def __init__(self, s: Semigroup2D, width: int, height: int):
-        gens = s.generators
-        ordv = [[-1] * height for _ in range(width)]
-        ordv[0][0] = 0
-        for x in range(width):
-            col = ordv[x]
-            for y in range(height):
-                best = col[y]
-                for ga, gb in gens:
-                    px, py = x - ga, y - gb
-                    if px >= 0 and py >= 0:
-                        prev = ordv[px][py]
-                        if prev >= 0 and prev >= best:
-                            best = prev + 1
-                col[y] = best
-        self.ord = ordv
-
-
-def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
-    """Number of semigroup elements outside every translate q*g_i + S:
-    the colength of the q-th bracket power of the maximal ideal.
-
-    Column x of the box is an int whose bit y says (x, y) is in S."""
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    width, height = _box(s, q)
+def _member_columns(s: Semigroup2D, width: int, height: int) -> list[int]:
+    """Columns x = 0..width of S in the box [0, width] x [0, height], each
+    an int whose bit y says (x, y) is in S."""
     mask = (1 << (height + 1)) - 1
     b0 = s.b  # g_0 = (0, b); every other generator has a_i > 0
     cols: list[int] = []
-    total = 0
     for x in range(width + 1):
         col = int(x == 0)
         for ga, gb in s.generators[1:]:
@@ -337,8 +314,50 @@ def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
         while shift <= height:  # close under + (0, b) by doubling shifts
             col |= col << shift
             shift <<= 1
-        col &= mask
-        cols.append(col)
+        cols.append(col & mask)
+    return cols
+
+
+def _grid_mask(ncols: int, nrows: int, stride: int) -> int:
+    """Bits x*stride + y for x < ncols and y < nrows."""
+    every_column = ((1 << (stride * ncols)) - 1) // ((1 << stride) - 1)
+    return every_column * ((1 << nrows) - 1)
+
+
+class _PackedBox:
+    """Subsets of the box [0, width] x [0, height] as one int whose bit
+    x*stride + y is the point (x, y).  Each column has b free rows above
+    height, so a translate by one generator never reaches the next column
+    before `step` masks it back to the box."""
+
+    def __init__(self, s: Semigroup2D, width: int, height: int):
+        self.stride = stride = height + 1 + s.b
+        self.box = _grid_mask(width + 1, height + 1, stride)
+        self.shifts = [ga * stride + gb for ga, gb in s.generators]
+        members = 0
+        for col in reversed(_member_columns(s, width, height)):
+            members = (members << stride) | col
+        self.members = members  # S in the box, the ord layer L_0
+
+    def step(self, layer: int) -> int:
+        """Union of the translates layer + g_i, cut to the box: the ord
+        layer L_{k+1} = {p : ord(p) >= k+1} from L_k, since the box is
+        closed under p -> p - g_i."""
+        out = 0
+        for shift in self.shifts:
+            out |= layer << shift
+        return out & self.box
+
+
+def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
+    """Number of semigroup elements outside every translate q*g_i + S:
+    the colength of the q-th bracket power of the maximal ideal."""
+    if q < 1:
+        raise ParameterError(f"q must be >= 1, got {q}")
+    width, height = _box(s, q)
+    cols = _member_columns(s, width, height)
+    total = 0
+    for x, col in enumerate(cols):
         covered = 0
         for ga, gb in s.generators:
             if q * ga <= x:
@@ -348,43 +367,45 @@ def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
 
 
 def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
-    """Colength of the q-th bracket power of the homogeneous maximal ideal of
-    the extended Rees algebra of the maximal ideal of k[S].
+    """Colength of the q-th bracket power M^[q] of the homogeneous maximal
+    ideal of the extended Rees algebra R' = sum over n of m^n t^n of k[S].
 
-    The graded pieces are piecewise in the degree n; each n-range contributes
-    per-point counts expressed through the order function ord(s) and
-    phi(s) = max_i ord(s - q g_i), aggregated in one pass over the box of
-    `_box`.  Points contributing to n < 0 have ord <= q-2, so they lie in
-    it.  Points contributing to n >= q have phi < ord - q; in a
-    representation of total ord every n_i <= q-1 (else s - q g_i has
-    ord >= ord(s) - q), so they lie in it too.
+    The monomials of R' are (p, n) with p in S and n <= ord(p), and M^[q]
+    is generated by (q g_i, 0), (q g_i, q) and (0, -q).  So (p, n) lies
+    outside M^[q] iff ord(p) - q < n and phi(p) + q < n, where
+    phi(p) = max_i ord(p - q g_i) (-inf when no p - q g_i is in S).  As
+    phi(p) + q <= ord(p), each p in S counts q - max(0, phi(p) + 2q - ord(p))
+    degrees.  A point outside the box of `_box` counts none: a sum of
+    ord(p) generators equal to p uses some g_i at least q times, so
+    phi(p) >= ord(p) - q.
+
+    With the ord layers L_k = {p : ord(p) >= k} and Phi_j = {p : phi(p) >= j}
+    = union of L_j + q g_i, which also satisfies Phi_{j+1} = Phi_j + {g_i},
+    the subtracted sum is the count of pairs (p, n) with n >= 0, p in
+    Phi_{max(0, n - q)} and p not in L_{n+q}.
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     width, height = _box(s, q)
-    ordv = _SemigroupGrid(s, width + 1, height + 1).ord
-    qgens = [(q * ga, q * gb) for ga, gb in s.generators]
-    total = 0
-    for x, col in enumerate(ordv):
-        for y, o in enumerate(col):
-            if o < 0:
-                continue
-            phi = -1
-            for qa, qb in qgens:
-                px, py = x - qa, y - qb
-                if px >= 0 and py >= 0 and ordv[px][py] > phi:
-                    phi = ordv[px][py]
-            # degrees -q < n < 0: point counts against l(A/m^{n+q})
-            if o <= q - 2:
-                total += q - 1 - o
-            # degrees 0 <= n <= q-1 with o-q < n <= o: point survives iff
-            # outside m^{[q]}; the range is empty once o >= 2q - 1
-            if phi < 0:
-                total += max(0, min(q - 1, o) - max(0, o - q + 1) + 1)
-            # degrees n >= q: n ranges over [max(q, phi+q+1, o-q+1), o]
-            lo = max(q, phi + q + 1, o - q + 1)
-            if o >= lo:
-                total += o - lo + 1
+    grid = _PackedBox(s, width, height)
+    stride = grid.stride
+    phi = 0  # Phi_0: translates of S by q g_i that stay in the box
+    for ga, gb in s.generators:
+        qa, qb = q * ga, q * gb
+        if qa <= width and qb <= height:
+            inside = _grid_mask(width - qa + 1, height - qb + 1, stride)
+            phi |= (grid.members & inside) << (qa * stride + qb)
+    total = q * grid.members.bit_count()
+    layer = grid.members
+    for _ in range(q):
+        layer = grid.step(layer)
+    n = 0
+    while phi:  # layer is L_{n+q}, phi is Phi_{max(0, n-q)}
+        total -= ((phi | layer) ^ layer).bit_count()
+        layer = grid.step(layer)
+        n += 1
+        if n > q:
+            phi = grid.step(phi)
     return total
 
 

@@ -235,6 +235,23 @@ def test_oracle_presentation_file(capsys, tmp_path):
     assert "leading estimate: 3/2" in out
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["segre", "--c", "2", "--d", "2", "--n", "7", "--order", "grevlex"],
+     "error: --preset segre does not take --n, --order\n"),
+    (["ci-rees", "--m", "2", "--n", "3", "--order", "lex"],
+     "error: --preset ci-rees does not take --order\n"),
+    (["semigroup", "--file", "sg.txt", "--c", "2"],
+     "error: --preset semigroup does not take --c\n"),
+], ids=["segre", "ci-rees", "semigroup"])
+def test_oracle_rejects_flags_its_family_does_not_take(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--preset", *argv, "--q", "2", "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_oracle_presentation_wrong_dimension_exit_3(capsys, tmp_path):
     f = tmp_path / "pres.txt"
     f.write_text("vars: x y z\nbin: x*y - z^2\ndim: 5\n")

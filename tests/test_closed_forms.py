@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkrees import closed_forms as cf
 from hkrees.errors import ParameterError
@@ -215,6 +217,41 @@ def test_veronese_I_limits_special_values():
     assert cf.veronese_I_limits(VP(3, 3), 0, 1) == 0
     with pytest.raises(ParameterError):
         cf.veronese_I_limits(VP(2, 2), 2, 2)
+
+
+def defining_I_limits(p, a, k):
+    """I_k(a) by its defining double sum, term by term in Fractions."""
+    c, d = p.c, p.d
+    total = Fraction(0)
+    for l in range(min(c - 1, a) + 1):
+        inner = Fraction(0)
+        for i in range(min(d, a - l) + 1):
+            term = (-1) ** i * binomial(d, i) * (a - l - i) ** d
+            if k == 1:
+                term *= a * d + l + i
+            inner += term
+        total += cf.alpha(d, l) * inner
+    if k == 0:
+        return total / (c * factorial(d))
+    return total / (c * c * factorial(d + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(2, 6), st.data())
+def test_veronese_I_limits_match_defining_sum(c, d, data):
+    a = data.draw(st.integers(0, 2 * c + d))
+    k = data.draw(st.sampled_from((0, 1)))
+    p = VP(c, d)
+    assert cf.veronese_I_limits(p, a, k) == defining_I_limits(p, a, k)
+
+
+def test_veronese_rees_general_large_c():
+    """Values of the defining sums at c = 1000, where most l take the
+    backward-difference closed form."""
+    assert cf.veronese_rees_ehk_general(VP(1000, 3)) == Fraction(3500003503, 6000)
+    assert cf.veronese_rees_ehk_general(VP(1000, 4)) == Fraction(
+        3750006265009, 15000
+    )
 
 
 def integrate_density(p, a, k, steps_per_unit=1):

@@ -230,6 +230,57 @@ def test_rees_rejects_bad_input():
         rees_monomial_colength(ideal, 0, "maximal-ideal")
 
 
+def reference_rees_colength(gens, q, mode):
+    """The earlier Rees counter: every product ideal is re-minimalized from
+    all pairwise sums, pieces are row scans, and the sum stops after two
+    zero pieces in a row."""
+
+    def minimal(pts):
+        out, best_b = [], math.inf
+        for a, b in sorted(set(pts)):
+            if b < best_b:
+                out.append((a, b))
+                best_b = b
+        return out
+
+    def times(i, j):
+        return minimal((a1 + a2, b1 + b2) for a1, b1 in i for a2, b2 in j)
+
+    def threshold(i, b):
+        return min((ga for ga, gb in i if gb <= b), default=math.inf)
+
+    def length(num, den):
+        rows = max(b for _, b in num + den) + 1
+        return sum(threshold(den, b) - threshold(num, b) for b in range(rows))
+
+    ideal = minimal(gens)
+    small = [(0, 1), (1, 0)] if mode == "maximal-ideal" else ideal
+    small_q = [(q * a, q * b) for a, b in small]
+    ideal_q = [(q * a, q * b) for a, b in ideal]
+    powers = [[(0, 0)]]
+    total, zeros, n = 0, 0, 0
+    while n < q or zeros < 2:
+        while len(powers) <= n:
+            powers.append(times(powers[-1], ideal))
+        den = times(small_q, powers[n]) if mode == "maximal-ideal" or n < q else []
+        if n >= q:
+            den = minimal(den + times(ideal_q, powers[n - q]))
+        piece = length(powers[n], den)
+        total += piece
+        zeros = zeros + 1 if n >= q and piece == 0 else 0
+        n += 1
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(staircases(True), st.integers(1, 12),
+       st.sampled_from(("maximal-ideal", "ideal-power")))
+def test_rees_colength_matches_reference(ideal, q, mode):
+    assert rees_monomial_colength(ideal, q, mode) == reference_rees_colength(
+        list(ideal.gens), q, mode
+    )
+
+
 # ---------------------------------------------------------------------------
 # Semigroups
 
@@ -267,13 +318,22 @@ def brute_force_order(s, x, y, depth):
 
 
 def test_semigroup_order_function_against_brute_force():
-    from hkrees.lattice import _SemigroupGrid
+    """Point (x, y) is in the k-th packed ord layer iff ord(x, y) >= k."""
+    from hkrees.lattice import _PackedBox
 
     for s in (semigroup_veronese(2), semigroup_binomial_an(3)):
-        grid = _SemigroupGrid(s, 13, 13)
+        grid = _PackedBox(s, 12, 12)
+        ordv = {}
+        layer, k = grid.members, 0
+        while layer:
+            for x in range(13):
+                for y in range(13):
+                    if layer >> (x * grid.stride + y) & 1:
+                        ordv[x, y] = k
+            layer, k = grid.step(layer), k + 1
         for x in range(13):
             for y in range(13):
-                assert grid.ord[x][y] == brute_force_order(s, x, y, 12), (
+                assert ordv.get((x, y), -1) == brute_force_order(s, x, y, 12), (
                     s,
                     x,
                     y,
