@@ -5,6 +5,9 @@ of (canonical description, q), so they are memoized in a line-delimited
 JSON file.  A hit requires the description hash, q, and engine version to
 all match; bumping ENGINE_VERSION invalidates every old entry without
 touching the file.
+
+Opening the cache only reads the file; a lookup decodes just the lines that
+can hold its hash, so its cost follows the records asked for.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 ENGINE_VERSION = "1"
 
 # raw_decode skips json.loads' argument checks, which cost about a quarter
-# of the load time of a large cache; _load checks the end offset itself.
+# of the load time of a large cache; _parse checks the end offset itself.
 _decode = json.JSONDecoder().raw_decode
 
 
@@ -24,42 +27,77 @@ def _key(description: str) -> str:
     return hashlib.sha256(description.encode("utf-8")).hexdigest()
 
 
+def _parse(lines) -> tuple[dict[tuple[str, int], int], int]:
+    """The valid records among byte lines, the last one winning for each
+    (hash, q), and the number of torn, malformed or non-UTF-8 lines."""
+    entries, rejected = {}, 0
+    for line in lines:
+        try:
+            line = line.decode("utf-8").strip()
+            if not line:
+                continue
+            rec, end = _decode(line)  # a torn line fails here
+            if end == len(line):
+                if rec.get("version") != ENGINE_VERSION:
+                    continue  # written by another engine version
+                count = rec["count"]
+                if type(count) is int:
+                    entries[(rec["hash"], rec["q"])] = count
+                    continue
+        except (ValueError, AttributeError, KeyError, TypeError):
+            pass  # UnicodeDecodeError is a ValueError
+        rejected += 1
+    return entries, rejected
+
+
 class ColengthCache:
     def __init__(self, path: str):
         self.path = path
-        self._entries: dict[tuple[str, int], int] = {}
-        self.rejected = 0  # torn or malformed lines skipped by _load
+        self._data = b""  # the file as loaded, plus this instance's puts
         self._load()
 
     def _load(self):
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec, end = _decode(line)  # a torn line fails here
-                    if end == len(line):
-                        if rec.get("version") != ENGINE_VERSION:
-                            continue  # written by another engine version
-                        count = rec["count"]
-                        if type(count) is int:
-                            self._entries[(rec["hash"], rec["q"])] = count
-                            continue
-                except (ValueError, AttributeError, KeyError, TypeError):
-                    pass
-                self.rejected += 1
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as fh:
+                # a text-mode read also ends lines at \r; the blank line
+                # this leaves inside \r\n is skipped like any other
+                self._data = fh.read().replace(b"\r", b"\n")
+
+    @property
+    def _entries(self) -> dict[tuple[str, int], int]:
+        """Every valid record, from a full scan of the file."""
+        return _parse(self._data.splitlines())[0]
+
+    @property
+    def rejected(self) -> int:
+        """Torn, malformed and non-UTF-8 lines, from a full scan."""
+        return _parse(self._data.splitlines())[1]
+
+    def _lookup(self, h: str) -> dict[tuple[str, int], int]:
+        """Records of the lines holding h or a backslash, in file order.
+        Every record with hash h is among them, because a JSON string
+        spells a hex digit either literally or as a \\u escape."""
+        data = self._data
+        lines = {}
+        for needle in (h.encode("ascii"), b"\\"):
+            i = data.find(needle)
+            while i >= 0:
+                start = data.rfind(b"\n", 0, i) + 1
+                end = data.find(b"\n", i)
+                if end < 0:
+                    end = len(data)
+                lines[start] = data[start:end]
+                i = data.find(needle, end)
+        return _parse(lines[start] for start in sorted(lines))[0]
 
     def get(self, description: str, q: int) -> int | None:
-        return self._entries.get((_key(description), q))
+        h = _key(description)
+        return self._lookup(h).get((h, q))
 
     def put(self, description: str, q: int, count: int):
         h = _key(description)
-        if (h, q) in self._entries:
+        if (h, q) in self._lookup(h):
             return
-        self._entries[(h, q)] = count
         rec = {
             "hash": h,
             "q": q,
@@ -67,9 +105,13 @@ class ColengthCache:
             "version": ENGINE_VERSION,
             "description": description,
         }
+        line = json.dumps(rec, sort_keys=True).encode("utf-8") + b"\n"
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        if self._data and not self._data.endswith(b"\n"):  # end a torn last line
+            line = b"\n" + line
+        with open(self.path, "ab") as fh:
+            fh.write(line)
+        self._data += line
 
     def entries(self) -> list[dict]:
         """Current valid entries, for inspection."""
@@ -79,7 +121,7 @@ class ColengthCache:
         ]
 
     def clear(self):
-        self._entries.clear()
+        self._data = b""
         if os.path.exists(self.path):
             os.remove(self.path)
 

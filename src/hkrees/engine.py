@@ -220,7 +220,7 @@ def _autoreduce(basis: list[Element], order: MonomialOrderSpec) -> list[Element]
             for i, e in enumerate(minimal)]
 
 
-def initial_ideal(gb: list[Element], order: MonomialOrderSpec) -> list[Monomial]:
+def initial_ideal(gb: list[Element]) -> list[Monomial]:
     """Minimal monomial generators of the initial ideal of a reduced
     Groebner basis (as `buchberger` returns), sorted: its leads, which
     reduction already made distinct and minimal."""
@@ -236,7 +236,7 @@ def krull_dimension(p: PresentedQuotient,
     gb = buchberger(p, order)
     supports = {
         frozenset(i for i, e in enumerate(m) if e)
-        for m in initial_ideal(gb, order)
+        for m in initial_ideal(gb)
     }
     nvars = len(p.variables)
     for size in range(nvars, -1, -1):
@@ -317,7 +317,7 @@ def frobenius_colength(p: PresentedQuotient, q: int,
         tuple(q if j == i else 0 for j in range(nvars)) for i in range(nvars)
     )
     gb = buchberger(p, order, extra_monomials=powers)
-    return count_standard_monomials(initial_ideal(gb, order))
+    return count_standard_monomials(initial_ideal(gb))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ FAMILIES = {
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     description: str
     dimension: int
     counter: Callable[[int], int]
@@ -93,7 +92,6 @@ def an_hypersurface(n: int,
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     return Preset(
-        name="an-hypersurface",
         description=f"an-hypersurface n={n}",
         dimension=2,
         counter=_engine_counter(_an_presentation(n), order),
@@ -107,7 +105,6 @@ def an_extrees(n: int,
     algebra of the maximal ideal of the n-th binomial hypersurface."""
     target = cf.an_extrees_ehk(n)  # rejects n < 2
     return Preset(
-        name="an-extrees",
         description=f"an-extrees n={n}",
         dimension=3,
         counter=_engine_counter(_an_extrees_presentation(n), order),
@@ -118,7 +115,6 @@ def an_extrees(n: int,
 def segre(c: int, d: int) -> Preset:
     """Segre product of polynomial rings in c and d variables."""
     return Preset(
-        name="segre",
         description=f"segre c={c} d={d}",
         dimension=c + d - 1,
         counter=lambda q: lattice.segre_colength(c, d, q),
@@ -136,7 +132,6 @@ def veronese_rees(c: int, d: int) -> Preset:
     elif d == 1 and c >= 1:
         target = Fraction(1)
     return Preset(
-        name="veronese-rees",
         description=f"veronese-rees c={c} d={d}",
         dimension=d + 1,
         counter=lambda q: lattice.veronese_rees_colength(c, d, q),
@@ -150,7 +145,6 @@ def ci_rees(m: int, n: int) -> Preset:
     counter on the maximal homogeneous ideal."""
     ideal = lattice.MonomialIdeal2D.from_gens([(m, 0), (0, n)])
     return Preset(
-        name="ci-rees",
         description=f"ci-rees m={m} n={n}",
         dimension=3,
         counter=lambda q: lattice.rees_monomial_colength(
@@ -166,7 +160,6 @@ def ci_extrees(m: int, n: int,
     if m < 1 or n < 1:
         raise ParameterError(f"exponents must be >= 1, got ({m}, {n})")
     return Preset(
-        name="ci-extrees",
         description=f"ci-extrees m={m} n={n}",
         dimension=3,
         counter=_engine_counter(ci_extrees_presentation(m, n), order),
@@ -178,7 +171,6 @@ def semigroup(s: lattice.Semigroup2D) -> Preset:
     """Affine semigroup ring k[S] for a rank-2 semigroup."""
     gens = " ".join(f"({a},{b})" for a, b in s.generators)
     return Preset(
-        name="semigroup",
         description=f"semigroup {gens}",
         dimension=2,
         counter=lambda q: lattice.semigroup_ehk_colength(s, q),
@@ -189,7 +181,6 @@ def semigroup_extrees(s: lattice.Semigroup2D) -> Preset:
     """Extended Rees algebra of the maximal ideal of k[S]."""
     gens = " ".join(f"({a},{b})" for a, b in s.generators)
     return Preset(
-        name="semigroup-extrees",
         description=f"semigroup-extrees {gens}",
         dimension=3,
         counter=lambda q: lattice.semigroup_extrees_colength(s, q),
@@ -215,7 +206,6 @@ def presentation(p: engine.PresentedQuotient,
     if order is not None:
         parts.append(f"order={order.kind},{order.permutation}")
     return Preset(
-        name="presentation",
         description="presentation " + " ".join(parts),
         dimension=p.dimension,
         counter=_engine_counter(p, order),

@@ -7,8 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hkrees
+from hkrees import cache as cache_mod
 from hkrees import presets
 from hkrees.cache import ENGINE_VERSION, ColengthCache, _key, cached_counter
 from hkrees.cli import main
@@ -74,7 +77,6 @@ def test_cache_counter_avoids_recomputation(tmp_path):
     calls = []
     base = presets.an_hypersurface(2)
     counting = presets.Preset(
-        name=base.name,
         description=base.description,
         dimension=base.dimension,
         counter=lambda q: (calls.append(q), base.counter(q))[1],
@@ -121,6 +123,135 @@ def test_cache_counts_rejected_lines(tmp_path):
     cache = ColengthCache(str(path))
     assert cache.entries() == [good]
     assert cache.rejected == 5
+
+
+def reference_load(path):
+    """The earlier full parse: every line of a text-mode read, the last
+    valid record winning for each (hash, q).  A line that is not UTF-8
+    counts as rejected (the earlier parse stopped with an error there)."""
+    decode = json.JSONDecoder().raw_decode
+    entries, rejected = {}, 0
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")  # a lone surrogate stands for a bad byte
+                rec, end = decode(line)
+                if end == len(line):
+                    if rec.get("version") != ENGINE_VERSION:
+                        continue
+                    count = rec["count"]
+                    if type(count) is int:
+                        entries[(rec["hash"], rec["q"])] = count
+                        continue
+            except (ValueError, AttributeError, KeyError, TypeError):
+                pass
+            rejected += 1
+    return entries, rejected
+
+
+CACHE_DESCS = ("a", "b", "semigroup (0,2) (1,1) (2,0)")
+
+
+def _escape_hex(text, h, picks):
+    """text with the hex digits of h at the picked positions spelled as
+    \\u escapes; the JSON value is unchanged."""
+    spelled = "".join(f"\\u{ord(c):04x}" if i in picks else c for i, c in enumerate(h))
+    return text.replace(h, spelled, 1)
+
+
+@st.composite
+def cache_lines(draw):
+    h = _key(draw(st.sampled_from(CACHE_DESCS)))
+    rec = {"hash": h, "q": draw(st.sampled_from([1, 2, 2.0, 3])),
+           "count": draw(st.integers(0, 10**6)), "version": ENGINE_VERSION}
+    kind = draw(st.sampled_from([
+        "valid", "stale", "torn", "non-dict", "bool-count", "duplicate-key",
+        "escaped-hash", "non-utf8", "unicode-description", "trailing", "blank",
+    ]))
+    text = json.dumps(rec)
+    if kind == "stale":
+        text = json.dumps(dict(rec, version="0"))
+    elif kind == "torn":
+        text = text[:draw(st.integers(1, len(text) - 1))]
+    elif kind == "non-dict":
+        text = json.dumps(draw(st.sampled_from([[h, 2], h, 7])))
+    elif kind == "bool-count":
+        text = json.dumps(dict(rec, count=True))
+    elif kind == "duplicate-key":  # the decoder keeps the last "hash"
+        other = _key(draw(st.sampled_from(CACHE_DESCS)))
+        text = text.replace('"q"', f'"hash": "{other}", "q"')
+    elif kind == "escaped-hash":
+        text = _escape_hex(text, h, draw(st.sets(st.integers(0, 63), min_size=1)))
+    elif kind == "unicode-description":
+        text = json.dumps(dict(rec, description="\u00e9\u27e8"),
+                          ensure_ascii=draw(st.booleans()))
+    elif kind == "trailing":
+        text += "x"
+    elif kind == "blank":
+        text = ""
+    line = text.encode("utf-8")
+    if kind == "non-utf8":
+        at = draw(st.integers(0, len(line)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        line = line[:at] + bad + line[at:]
+    pad = st.sampled_from([b"", b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\xc2\x85"])
+    return draw(pad) + line + draw(pad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(cache_lines(), st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                max_size=12),
+       st.booleans())
+def test_cache_lookup_matches_full_parse(tmp_path_factory, lines, torn_end):
+    data = b"".join(line + sep for line, sep in lines)
+    if torn_end and lines:
+        data = data[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+    path.write_bytes(data)
+    entries, rejected = reference_load(path)
+    cache = ColengthCache(str(path))
+    for desc in CACHE_DESCS:
+        for q in (1, 2, 3):
+            assert cache.get(desc, q) == entries.get((_key(desc), q))
+    assert cache.entries() == [
+        {"hash": h, "q": q, "count": c, "version": ENGINE_VERSION}
+        for (h, q), c in sorted(entries.items())
+    ]
+    assert cache.rejected == rejected
+
+
+def test_cache_lookup_decodes_only_candidate_lines(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    cache = ColengthCache(str(path))
+    for i in range(50):
+        cache.put(f"filler {i}", 2, i)
+    cache.put("a", 2, 5)
+    cache.put("a", 4, 7)
+    cache.put("caf\u00e9", 2, 9)  # ASCII JSON spells it with a backslash
+    decoded = []
+    real = cache_mod._decode
+    monkeypatch.setattr(cache_mod, "_decode", lambda s: decoded.append(s) or real(s))
+    fresh = ColengthCache(str(path))
+    assert decoded == []
+    assert fresh.get("a", 2) == 5
+    assert len(decoded) == 3  # the two records of "a" and the escaped one
+    assert fresh.get("absent", 2) is None
+    assert len(decoded) == 4
+
+
+def test_put_ends_a_torn_last_line(capsys, tmp_path):
+    path = tmp_path / "colengths.jsonl"
+    path.write_text('{"count": 5, "hash": "ab')
+    argv = ["oracle", "--preset", "ci-rees", "--m", "1", "--n", "1",
+            "--q", "2,4", "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    cache = ColengthCache(str(path))
+    assert cache.rejected == 1  # the torn line alone
+    assert cache.get("ci-rees m=1 n=1", 2) == 10
+    assert cache.get("ci-rees m=1 n=1", 4) == 84
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +496,21 @@ def test_oracle_recomputes_over_malformed_cache_record(capsys, tmp_path, record)
     cache = ColengthCache(str(path))  # the recomputed count was appended
     assert cache.rejected == 1
     assert cache.get("an-hypersurface n=2", 4) == 24
+
+
+def test_non_utf8_cache_line_is_rejected_not_fatal(capsys, tmp_path):
+    argv = ["oracle", "--preset", "an-hypersurface", "--n", "2", "--q", "2,4",
+            "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "colengths.jsonl"
+    path.write_bytes(b'{"count": 6, "hash": "\xff"}\n')
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, plain, "")
+    code, out, err = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "2 entries" in out
+    assert ColengthCache(str(path)).rejected == 1
 
 
 def test_missing_file_exit_3(capsys):

@@ -105,8 +105,8 @@ def test_initial_ideal_minimalizes():
     # a reduced basis, as buchberger returns: its leads are the minimal
     # generators, and they come out sorted
     gb = [((2, 0), None), ((0, 3), (1, 0))]
-    assert initial_ideal(gb, LEX) == [(0, 3), (2, 0)]
-    assert initial_ideal([], LEX) == []
+    assert initial_ideal(gb) == [(0, 3), (2, 0)]
+    assert initial_ideal([]) == []
 
 
 def test_count_standard_monomials_boxes():
@@ -130,7 +130,7 @@ def brute_force_standard_count(gens):
 def test_count_standard_monomials_against_brute_force():
     q = 4
     gb = buchberger(xy_z(2), LEX, extra_monomials=((q, 0, 0), (0, q, 0), (0, 0, q)))
-    gens = initial_ideal(gb, LEX)
+    gens = initial_ideal(gb)
     assert count_standard_monomials(gens) == brute_force_standard_count(gens)
     random_gens = [(3, 0, 1), (0, 4, 0), (2, 2, 2), (5, 0, 0), (0, 0, 3)]
     assert count_standard_monomials(random_gens) == brute_force_standard_count(
