@@ -7,7 +7,8 @@ all match; bumping ENGINE_VERSION invalidates every old entry without
 touching the file.
 
 Opening the cache only reads the file; a lookup decodes just the lines that
-can hold its hash, so its cost follows the records asked for.
+can hold its hash, so its cost follows the records asked for.  A put appends
+in place and reuses the lookup of the get before it.
 """
 
 from __future__ import annotations
@@ -53,15 +54,21 @@ def _parse(lines) -> tuple[dict[tuple[str, int], int], int]:
 class ColengthCache:
     def __init__(self, path: str):
         self.path = path
-        self._data = b""  # the file as loaded, plus this instance's puts
+        self._data = bytearray()  # the file as loaded, plus this instance's puts
+        self._found = None  # (hash, records) of the last lookup, kept current
         self._load()
 
     def _load(self):
         if os.path.exists(self.path):
             with open(self.path, "rb") as fh:
+                # read straight into a bytearray, so puts append in place
+                data = bytearray(os.fstat(fh.fileno()).st_size)
+                del data[fh.readinto(data):]
+            if b"\r" in data:
                 # a text-mode read also ends lines at \r; the blank line
                 # this leaves inside \r\n is skipped like any other
-                self._data = fh.read().replace(b"\r", b"\n")
+                data = data.replace(b"\r", b"\n")
+            self._data = data
 
     @property
     def _entries(self) -> dict[tuple[str, int], int]:
@@ -76,7 +83,11 @@ class ColengthCache:
     def _lookup(self, h: str) -> dict[tuple[str, int], int]:
         """Records of the lines holding h or a backslash, in file order.
         Every record with hash h is among them, because a JSON string
-        spells a hex digit either literally or as a \\u escape."""
+        spells a hex digit either literally or as a \\u escape.  The
+        records of the last hash looked up are kept, and a put adds its
+        own, so a put after a get for the same hash decodes nothing."""
+        if self._found is not None and self._found[0] == h:
+            return self._found[1]
         data = self._data
         lines = {}
         for needle in (h.encode("ascii"), b"\\"):
@@ -88,7 +99,9 @@ class ColengthCache:
                     end = len(data)
                 lines[start] = data[start:end]
                 i = data.find(needle, end)
-        return _parse(lines[start] for start in sorted(lines))[0]
+        records = _parse(lines[start] for start in sorted(lines))[0]
+        self._found = (h, records)
+        return records
 
     def get(self, description: str, q: int) -> int | None:
         h = _key(description)
@@ -96,7 +109,8 @@ class ColengthCache:
 
     def put(self, description: str, q: int, count: int):
         h = _key(description)
-        if (h, q) in self._lookup(h):
+        records = self._lookup(h)
+        if (h, q) in records:
             return
         rec = {
             "hash": h,
@@ -112,6 +126,7 @@ class ColengthCache:
         with open(self.path, "ab") as fh:
             fh.write(line)
         self._data += line
+        records[(h, q)] = count  # as a new lookup would read the appended line
 
     def entries(self) -> list[dict]:
         """Current valid entries, for inspection."""
@@ -121,7 +136,8 @@ class ColengthCache:
         ]
 
     def clear(self):
-        self._data = b""
+        self._data = bytearray()
+        self._found = None
         if os.path.exists(self.path):
             os.remove(self.path)
 

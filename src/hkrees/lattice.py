@@ -5,6 +5,10 @@ computed from explicit graded-piece descriptions: staircase areas for
 Rees algebras of 2D monomial ideals, alpha tables for Segre products and
 Veronese Rees algebras, and membership columns on a proven box for 2D
 affine semigroup rings and their extended Rees algebras.
+
+The Segre and Veronese Rees colengths are polynomials in q from q = 1 on,
+so those two counters sum their alpha tables only at the first few q and
+evaluate the polynomial there; their cost does not grow with q.
 """
 
 from __future__ import annotations
@@ -41,17 +45,54 @@ def _alpha_tables(d: int, top: int, q: int) -> tuple[list[int], list[int]]:
 # Segre products
 
 
-def segre_colength(c: int, d: int, q: int) -> int:
-    """Colength of the q-th bracket power of the maximal ideal of the Segre
-    product of polynomial rings in c and d variables."""
-    if c < 1 or d < 1 or q < 1:
-        raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
+def _polynomial_in_q(table_sum, degree: int, q: int) -> int:
+    """table_sum(q) for a table_sum that agrees with a polynomial of the
+    given degree at every q >= 1.
+
+    Inside the node range q <= degree + 1 this is table_sum(q) itself.
+    Past it, Newton's forward-difference formula through the nodes
+    1..degree+1 gives sum over k of C(q-1, k) * Delta^k f(1), in integers.
+    """
+    if q <= degree + 1:
+        return table_sum(q)
+    diffs = [table_sum(node) for node in range(1, degree + 2)]
+    total = 0
+    for k in range(degree + 1):
+        total += math.comb(q - 1, k) * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return total
+
+
+def _segre_sum(c: int, d: int, q: int) -> int:
+    """The Segre colength as a sum over the alpha tables."""
     top = max(c, d) * (q - 1)
     ac, acq = _alpha_tables(c, top, q)
     ad, adq = _alpha_tables(d, top, q)
     return sum(
         x * yq + xq * y - xq * yq for x, xq, y, yq in zip(ac, acq, ad, adq)
     )
+
+
+def segre_colength(c: int, d: int, q: int) -> int:
+    """Colength of the q-th bracket power of the maximal ideal of the Segre
+    product of polynomial rings in c and d variables.
+
+    The colength is the sum over m of alpha(c, m) alpha_q(d, m, q) +
+    alpha_q(c, m, q) alpha(d, m) - alpha_q(c, m, q) alpha_q(d, m, q), a
+    polynomial in q of degree c + d - 1 for every q >= 1; `_polynomial_in_q`
+    evaluates it from its values at q = 1..c+d.  Proof: the summand
+    vanishes for m > max(c, d)(q - 1), so the sum runs over the blocks
+    jq <= m < (j+1)q with j < max(c, d), a number of blocks that does not
+    depend on q.  On block j, alpha_q(d, m, q) = sum over i <= j of
+    (-1)^i C(d, i) C(m - iq + d - 1, d - 1), since the terms with i > j
+    have m - iq < 0; so with m = jq + r the summand is a polynomial in
+    (r, q), and Faulhaber's formula makes its sum over 0 <= r < q a
+    polynomial in q.  Its degree is at most c + d - 1, the dimension of the
+    ring, because the colength is O(q^(c+d-1)).
+    """
+    if c < 1 or d < 1 or q < 1:
+        raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
+    return _polynomial_in_q(lambda k: _segre_sum(c, d, k), c + d - 1, q)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +122,8 @@ def veronese_beta(d: int, c: int, n: int, cq: int) -> int:
     return _beta(al, aq, c, q, n)
 
 
-def veronese_rees_colength(c: int, d: int, q: int) -> int:
-    """Colength of the cq-th bracket power of the maximal ideal of the Rees
-    algebra of the maximal ideal over the degree-c Veronese subring.
-
-    Normalizing by (cq)^(d+1) recovers the closed-form limit.
-    """
-    if c < 1 or d < 1 or q < 1:
-        raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
+def _veronese_rees_sum(c: int, d: int, q: int) -> int:
+    """The Veronese Rees colength as a sum over the alpha tables."""
     cq = c * q
     al, aq = _alpha_tables(d, max(d * (cq - 1), c * (2 * cq - 2)), cq)
     a2q = _alpha_tables(2, 2 * cq - 2, cq)[1]
@@ -99,6 +134,34 @@ def veronese_rees_colength(c: int, d: int, q: int) -> int:
         beta_ncq = betas[n] if n < len(betas) else 0
         total += a2q[n] * (al[c * n] - beta_ncq)
     return total
+
+
+def veronese_rees_colength(c: int, d: int, q: int) -> int:
+    """Colength of the cq-th bracket power of the maximal ideal of the Rees
+    algebra of the maximal ideal over the degree-c Veronese subring.
+
+    Normalizing by (cq)^(d+1) recovers the closed-form limit.
+
+    The colength is sum over n of (n + 1) beta_n plus the sum over
+    n < 2cq - 1 of alpha_cq(2, n) (alpha(d, cn) - beta_n), with
+    beta_n = sum over l < c of alpha(d, l) alpha_cq(d, c(n - lq)).  It is a
+    polynomial in q of degree d + 1 for every q >= 1, which
+    `_polynomial_in_q` evaluates from its values at q = 1..d+2.  Proof:
+    beta_n vanishes for n >= (c+d-1)q and alpha_cq(2, 2cq - 1) = 0, so both
+    sums run over the blocks jq <= n < (j+1)q with j < max(c+d-1, 2c), a
+    number of blocks that does not depend on q.  On block j, with
+    n = jq + r, the argument c(n - lq) = c(j-l)q + cr sits in the single
+    block of width cq starting at (j-l)cq, where alpha_cq(d, .) is the
+    polynomial sum over i <= j - l of (-1)^i C(d, i) C(. - icq + d - 1,
+    d - 1); alpha_cq(2, n) likewise sits in the block of width cq starting
+    at floor(j/c) cq, and alpha(d, cn) is a polynomial in n.  So each
+    summand is a polynomial in (r, q), and Faulhaber's formula makes its
+    sum over 0 <= r < q a polynomial in q.  Its degree is at most d + 1,
+    the dimension of the ring, because the colength is O(q^(d+1)).
+    """
+    if c < 1 or d < 1 or q < 1:
+        raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
+    return _polynomial_in_q(lambda k: _veronese_rees_sum(c, d, k), d + 1, q)
 
 
 # ---------------------------------------------------------------------------

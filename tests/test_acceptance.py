@@ -87,7 +87,7 @@ def test_acceptance_1_golden_closed_forms():
         (2, 3): Fraction(13, 8),
         # The printed table reads 889/360 here. Corrected to 899/360: the
         # Stirling closed form, the integral formula and the exact fit
-        # of lattice.segre_colength all agree on it (asserted below).
+        # of the lattice Segre table sum all agree on it (asserted below).
         (3, 4): Fraction(899, 360),
     }
     printed = {(3, 4): Fraction(889, 360)}
@@ -103,24 +103,33 @@ def test_acceptance_1_golden_closed_forms():
     # Segre(3,4) has dimension 6 and its colength is a polynomial in q of
     # degree 6 from q = 1 on, so an exact fit through q = 1..7 gives e_HK as
     # its leading coefficient; held-out q confirm the fit is the counter.
+    # segre_colength evaluates that polynomial itself, so the fit and the
+    # held-out q read the direct alpha-table sum, which the counter must
+    # equal there.
     bcp = cf.bcp_segre_ehk(SP(3, 4))
     check(
         failures,
         bcp == golden[(3, 4)],
         f"bcp_segre(3,4) = {bcp}, golden table says {golden[(3, 4)]}",
     )
-    points = [(q, lattice.segre_colength(3, 4, q)) for q in range(1, 8)]
+    points = [(q, lattice._segre_sum(3, 4, q)) for q in range(1, 8)]
     for q in (8, 12, 50):
+        direct = lattice._segre_sum(3, 4, q)
         check(
             failures,
-            lagrange_at(points, q) == lattice.segre_colength(3, 4, q),
-            f"degree-6 fit of segre_colength(3,4,q) misses held-out q={q}",
+            lagrange_at(points, q) == direct,
+            f"degree-6 fit of the Segre(3,4) table sum misses held-out q={q}",
+        )
+        check(
+            failures,
+            lattice.segre_colength(3, 4, q) == direct,
+            f"segre_colength(3,4,{q}) differs from the table sum",
         )
     lead = lagrange_leading(points)
     check(
         failures,
         lead == golden[(3, 4)],
-        f"segre_colength(3,4,q) fit leads with {lead}, "
+        f"Segre(3,4) table-sum fit leads with {lead}, "
         f"golden table says {golden[(3, 4)]}",
     )
     for n in range(1, 11):

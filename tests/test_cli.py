@@ -242,6 +242,27 @@ def test_cache_lookup_decodes_only_candidate_lines(tmp_path, monkeypatch):
     assert len(decoded) == 4
 
 
+def test_cache_put_after_get_decodes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    cache = ColengthCache(str(path))
+    for i in range(20):
+        cache.put(f"filler {i}", 2, i)
+    cache.put("a", 2, 5)
+    decoded = []
+    real = cache_mod._decode
+    monkeypatch.setattr(cache_mod, "_decode", lambda s: decoded.append(s) or real(s))
+    fresh = ColengthCache(str(path))
+    assert fresh.get("a", 4) is None
+    assert len(decoded) == 1
+    fresh.put("a", 4, 7)  # the miss cached_counter fills
+    fresh.put("a", 2, 6)  # already on file: not appended
+    assert len(decoded) == 1
+    assert fresh.get("a", 4) == 7 and fresh.get("a", 2) == 5
+    assert len(decoded) == 1
+    assert ColengthCache(str(path)).entries() == fresh.entries()
+    assert fresh.get("filler 3", 2) == 3
+
+
 def test_put_ends_a_torn_last_line(capsys, tmp_path):
     path = tmp_path / "colengths.jsonl"
     path.write_text('{"count": 5, "hash": "ab')

@@ -16,6 +16,7 @@ from hkrees.engine import (
     PureDifferenceBinomial,
     frobenius_colength,
 )
+from hkrees import lattice
 from hkrees.errors import DimensionError, ParameterError, RankError
 from hkrees.lattice import (
     MonomialIdeal2D,
@@ -131,6 +132,63 @@ def test_veronese_rees_general_case_converges():
     target = cf.veronese_rees_ehk_general(cf.VeroneseParams(2, 3))
     v = Fraction(veronese_rees_colength(2, 3, 32), 64**4)
     assert abs(v - target) < target * Fraction(3, 100)
+
+
+# ---------------------------------------------------------------------------
+# Polynomial evaluation of the Segre and Veronese Rees counters
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 200))
+def test_segre_polynomial_matches_table_sum(c, d, q):
+    assert segre_colength(c, d, q) == lattice._segre_sum(c, d, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 120))
+def test_veronese_rees_polynomial_matches_table_sum(c, d, q):
+    assert veronese_rees_colength(c, d, q) == lattice._veronese_rees_sum(c, d, q)
+
+
+@pytest.mark.parametrize("counter, table_sum, c, d, degree", [
+    (segre_colength, "_segre_sum", 3, 4, 3 + 4 - 1),
+    (veronese_rees_colength, "_veronese_rees_sum", 3, 3, 3 + 1),
+])
+def test_large_q_sums_tables_only_at_the_nodes(
+    monkeypatch, counter, table_sum, c, d, degree
+):
+    nodes = []
+    real = getattr(lattice, table_sum)
+    monkeypatch.setattr(
+        lattice, table_sum, lambda *args: nodes.append(args[2]) or real(*args)
+    )
+    assert counter(c, d, 10**6) > 0
+    assert nodes == list(range(1, degree + 2))
+
+
+def leading_difference(values):
+    """Delta^D f(1) / D! for the values f(1), ..., f(D+1)."""
+    diffs = list(values)
+    while len(diffs) > 1:
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return Fraction(diffs[0], math.factorial(len(values) - 1))
+
+
+def test_segre_leading_difference_is_closed_form():
+    for c in range(1, 7):
+        for d in range(1, 7):
+            values = [segre_colength(c, d, q) for q in range(1, c + d + 1)]
+            assert leading_difference(values) == cf.segre_ehk(cf.SegreParams(c, d)), (c, d)
+
+
+def test_veronese_rees_leading_difference_is_closed_form():
+    for c in range(1, 7):
+        for d in range(1, 6):
+            values = [veronese_rees_colength(c, d, q) for q in range(1, d + 3)]
+            got = leading_difference(values) / c ** (d + 1)
+            want = (1 if d == 1
+                    else cf.veronese_rees_ehk_general(cf.VeroneseParams(c, d)))
+            assert got == want, (c, d)
 
 
 # ---------------------------------------------------------------------------
