@@ -30,7 +30,9 @@ def _key(description: str) -> str:
 
 def _parse(lines) -> tuple[dict[tuple[str, int], int], int]:
     """The valid records among byte lines, the last one winning for each
-    (hash, q), and the number of torn, malformed or non-UTF-8 lines."""
+    (hash, q), and the number of torn, malformed or non-UTF-8 lines.  A
+    record is valid when its hash is a str, its q an int >= 1 and its
+    count an int >= 0 (a bool is neither)."""
     entries, rejected = {}, 0
     for line in lines:
         try:
@@ -41,9 +43,10 @@ def _parse(lines) -> tuple[dict[tuple[str, int], int], int]:
             if end == len(line):
                 if rec.get("version") != ENGINE_VERSION:
                     continue  # written by another engine version
-                count = rec["count"]
-                if type(count) is int:
-                    entries[(rec["hash"], rec["q"])] = count
+                h, q, count = rec["hash"], rec["q"], rec["count"]
+                if (type(h) is str and type(q) is int and q >= 1
+                        and type(count) is int and count >= 0):
+                    entries[(h, q)] = count
                     continue
         except (ValueError, AttributeError, KeyError, TypeError):
             pass  # UnicodeDecodeError is a ValueError

@@ -187,16 +187,12 @@ class MonomialIdeal2D:
             and self.gens[-1][1] == 0
         )
 
-    def contains(self, a: int, b: int) -> bool:
-        return self.threshold(b) <= a
-
     def threshold(self, b: int) -> int:
         """Least x-exponent t such that (t, b) lies in the ideal (inf if none)."""
-        best = math.inf
         for ga, gb in self.gens:
             if gb <= b:
                 return ga  # gens sorted by ascending ga, descending gb
-        return best
+        return math.inf
 
     def multiply(self, other: "MonomialIdeal2D") -> "MonomialIdeal2D":
         return _envelope(
@@ -263,11 +259,13 @@ def rees_monomial_colength(ideal: MonomialIdeal2D, q: int, mode: str) -> int:
     or (I, It) (mode "ideal-power") on the Rees algebra of a 2D m-primary
     monomial ideal, summed over graded pieces until they vanish.
 
-    With J = m (maximal-ideal) or J = I (ideal-power), degree n < q is
-    I^n / J^[q] I^n, and degree n >= q is I^n / den(n) with
-    den(n) = J^[q] I^n + I^[q] I^{n-q} (maximal-ideal) or I^[q] I^{n-q}
-    (ideal-power).  In both modes den(n+1) = den(n) I.  So the first piece
-    that vanishes is the last one counted: I^n = den(n) gives
+    With J = m (maximal-ideal) or J = I (ideal-power), degree n is
+    I^n / den(n) with den(n) = J^[q] I^n, plus I^[q] I^{n-q} once n >= q.
+    So den(0) = J^[q], den(n+1) = den(n) I, and den(q) also gains I^[q].
+    That sum needs no mode branch: in ideal-power mode it is just I^[q],
+    because I^[q] contains I^[q] I^q.  A piece with n < q never vanishes
+    (J^[q] I^n lies in m I^n, which is smaller than I^n), and for n >= q the
+    first piece that vanishes is the last one counted: I^n = den(n) gives
     I^{n+1} = I^n I = den(n) I = den(n+1), and so on for every later n.
     """
     if mode not in ("maximal-ideal", "ideal-power"):
@@ -279,19 +277,16 @@ def rees_monomial_colength(ideal: MonomialIdeal2D, q: int, mode: str) -> int:
             "ideal must contain pure powers of both variables (m-primary)"
         )
     m = MonomialIdeal2D(((0, 1), (1, 0)))
-    small_q = (m if mode == "maximal-ideal" else ideal).bracket(q)
+    den = (m if mode == "maximal-ideal" else ideal).bracket(q)  # den(0)
     power = _UNIT  # I^n
-    total = 0
-    for _ in range(q):
-        total += quotient_length(power, small_q.multiply(power))
-        power = power.multiply(ideal)
-    den = ideal.bracket(q)  # den(q)
-    if mode == "maximal-ideal":
-        den = den.plus(small_q.multiply(power))
+    total = n = 0
     while piece := quotient_length(power, den):
         total += piece
         power = power.multiply(ideal)
         den = den.multiply(ideal)
+        n += 1
+        if n == q:
+            den = den.plus(ideal.bracket(q))
     return total
 
 
@@ -362,12 +357,15 @@ def _box(s: Semigroup2D, q: int) -> tuple[int, int]:
     )
 
 
-def _member_columns(s: Semigroup2D, width: int, height: int) -> list[int]:
-    """Columns x = 0..width of S in the box [0, width] x [0, height], each
-    an int whose bit y says (x, y) is in S."""
+def _columns(s: Semigroup2D, q: int) -> tuple[list[int], list[int], int]:
+    """Columns x = 0..W of S and of Phi_0 = union of the q g_i + S in the
+    box [0, W] x [0, H] of `_box`, each an int whose bit y says (x, y) is
+    in the set, and the height H."""
+    width, height = _box(s, q)
     mask = (1 << (height + 1)) - 1
     b0 = s.b  # g_0 = (0, b); every other generator has a_i > 0
     cols: list[int] = []
+    covs: list[int] = []
     for x in range(width + 1):
         col = int(x == 0)
         for ga, gb in s.generators[1:]:
@@ -378,29 +376,34 @@ def _member_columns(s: Semigroup2D, width: int, height: int) -> list[int]:
             col |= col << shift
             shift <<= 1
         cols.append(col & mask)
-    return cols
-
-
-def _grid_mask(ncols: int, nrows: int, stride: int) -> int:
-    """Bits x*stride + y for x < ncols and y < nrows."""
-    every_column = ((1 << (stride * ncols)) - 1) // ((1 << stride) - 1)
-    return every_column * ((1 << nrows) - 1)
+        cov = 0
+        for ga, gb in s.generators:
+            if q * ga <= x:
+                cov |= cols[x - q * ga] << (q * gb)
+        covs.append(cov & mask)
+    return cols, covs, height
 
 
 class _PackedBox:
-    """Subsets of the box [0, width] x [0, height] as one int whose bit
-    x*stride + y is the point (x, y).  Each column has b free rows above
-    height, so a translate by one generator never reaches the next column
-    before `step` masks it back to the box."""
+    """Subsets of the box of `_box` as one int whose bit x*stride + y is
+    the point (x, y).  Each column takes whole bytes with at least b free
+    rows above the height, so a translate by one generator never reaches
+    the next column before `step` masks it back to the box."""
 
-    def __init__(self, s: Semigroup2D, width: int, height: int):
-        self.stride = stride = height + 1 + s.b
-        self.box = _grid_mask(width + 1, height + 1, stride)
-        self.shifts = [ga * stride + gb for ga, gb in s.generators]
-        members = 0
-        for col in reversed(_member_columns(s, width, height)):
-            members = (members << stride) | col
-        self.members = members  # S in the box, the ord layer L_0
+    def __init__(self, s: Semigroup2D, q: int):
+        cols, covs, height = _columns(s, q)
+        nbytes = (height + s.b + 8) // 8  # ceil((height + 1 + b) / 8)
+        self.stride = 8 * nbytes
+        self.shifts = [ga * self.stride + gb for ga, gb in s.generators]
+
+        def pack(columns) -> int:
+            return int.from_bytes(
+                b"".join(c.to_bytes(nbytes, "little") for c in columns), "little"
+            )
+
+        self.members = pack(cols)  # S in the box, the ord layer L_0
+        self.phi = pack(covs)  # Phi_0
+        self.box = pack([(1 << (height + 1)) - 1] * len(cols))
 
     def step(self, layer: int) -> int:
         """Union of the translates layer + g_i, cut to the box: the ord
@@ -417,16 +420,8 @@ def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
     the colength of the q-th bracket power of the maximal ideal."""
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    width, height = _box(s, q)
-    cols = _member_columns(s, width, height)
-    total = 0
-    for x, col in enumerate(cols):
-        covered = 0
-        for ga, gb in s.generators:
-            if q * ga <= x:
-                covered |= cols[x - q * ga] << (q * gb)
-        total += (col & ~covered).bit_count()
-    return total
+    cols, covs, _ = _columns(s, q)
+    return sum((col & ~cov).bit_count() for col, cov in zip(cols, covs))
 
 
 def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
@@ -449,17 +444,9 @@ def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    width, height = _box(s, q)
-    grid = _PackedBox(s, width, height)
-    stride = grid.stride
-    phi = 0  # Phi_0: translates of S by q g_i that stay in the box
-    for ga, gb in s.generators:
-        qa, qb = q * ga, q * gb
-        if qa <= width and qb <= height:
-            inside = _grid_mask(width - qa + 1, height - qb + 1, stride)
-            phi |= (grid.members & inside) << (qa * stride + qb)
+    grid = _PackedBox(s, q)
     total = q * grid.members.bit_count()
-    layer = grid.members
+    layer, phi = grid.members, grid.phi
     for _ in range(q):
         layer = grid.step(layer)
     n = 0

@@ -116,13 +116,19 @@ def test_cache_counts_rejected_lines(tmp_path):
         dict(good, q=4, hash=["h"]),  # unhashable key
         dict(good, q=5, version="0"),  # another engine version: not rejected
         "plain string",
+        dict(good, hash=7),  # a hash must be a str
+        dict(good, q="4"),  # a q must be an int >= 1
+        dict(good, q=True),
+        dict(good, q=2.0),
+        dict(good, q=0),
+        dict(good, q=7, count=-5),  # a count must be >= 0
     ]
     text = "".join(json.dumps(x) + "\n" for x in lines)
     text += json.dumps(dict(good, q=6)) + "trailing\n{torn"
     path.write_text(text)
     cache = ColengthCache(str(path))
     assert cache.entries() == [good]
-    assert cache.rejected == 5
+    assert cache.rejected == 11
 
 
 def reference_load(path):
@@ -142,9 +148,10 @@ def reference_load(path):
                 if end == len(line):
                     if rec.get("version") != ENGINE_VERSION:
                         continue
-                    count = rec["count"]
-                    if type(count) is int:
-                        entries[(rec["hash"], rec["q"])] = count
+                    h, q, count = rec["hash"], rec["q"], rec["count"]
+                    if (isinstance(h, str) and type(q) is int and q >= 1
+                            and type(count) is int and count >= 0):
+                        entries[(h, q)] = count
                         continue
             except (ValueError, AttributeError, KeyError, TypeError):
                 pass
@@ -165,8 +172,8 @@ def _escape_hex(text, h, picks):
 @st.composite
 def cache_lines(draw):
     h = _key(draw(st.sampled_from(CACHE_DESCS)))
-    rec = {"hash": h, "q": draw(st.sampled_from([1, 2, 2.0, 3])),
-           "count": draw(st.integers(0, 10**6)), "version": ENGINE_VERSION}
+    rec = {"hash": h, "q": draw(st.sampled_from([1, 2, 2.0, 3, True, "2", 0])),
+           "count": draw(st.integers(-2, 10**6)), "version": ENGINE_VERSION}
     kind = draw(st.sampled_from([
         "valid", "stale", "torn", "non-dict", "bool-count", "duplicate-key",
         "escaped-hash", "non-utf8", "unicode-description", "trailing", "blank",
@@ -517,6 +524,30 @@ def test_oracle_recomputes_over_malformed_cache_record(capsys, tmp_path, record)
     cache = ColengthCache(str(path))  # the recomputed count was appended
     assert cache.rejected == 1
     assert cache.get("an-hypersurface n=2", 4) == 24
+
+
+def test_mistyped_cache_records_are_rejected_and_recomputed(capsys, tmp_path):
+    argv = ["oracle", "--preset", "an-hypersurface", "--n", "2", "--q", "2,4",
+            "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    good = {"hash": AN2_HASH, "q": 4, "count": 24, "version": ENGINE_VERSION}
+    records = [
+        dict(good, hash=7),
+        dict(good, q="4"),
+        dict(good, q=True, count=99),  # would be served as q = 1
+        dict(good, q=2.0, count=99),  # would be served as q = 2
+        dict(good, count=-5),
+    ]
+    path = tmp_path / "colengths.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, "0 entries\n", "")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, plain, "")
+    cache = ColengthCache(str(path))
+    assert cache.rejected == len(records)
+    assert (cache.get("an-hypersurface n=2", 2), cache.get("an-hypersurface n=2", 4)) == (6, 24)
 
 
 def test_non_utf8_cache_line_is_rejected_not_fatal(capsys, tmp_path):

@@ -15,6 +15,7 @@ from hkrees.engine import (
     PresentedQuotient,
     PureDifferenceBinomial,
     frobenius_colength,
+    parse_presentation,
 )
 from hkrees import lattice
 from hkrees.errors import DimensionError, ParameterError, RankError
@@ -203,11 +204,10 @@ def test_staircase_minimalization():
 
 
 def test_staircase_containment():
+    """(a, b) lies in the ideal iff threshold(b) <= a."""
     ideal = MonomialIdeal2D.from_gens([(0, 3), (2, 0)])
-    assert ideal.contains(2, 0)
-    assert ideal.contains(5, 7)
-    assert not ideal.contains(1, 2)
-    assert ideal.contains(0, 3)
+    assert [ideal.threshold(b) for b in range(5)] == [2, 2, 2, 0, 0]
+    assert MonomialIdeal2D.from_gens([(1, 2)]).threshold(1) == math.inf
 
 
 def test_quotient_length_hand_cases():
@@ -339,6 +339,15 @@ def test_rees_colength_matches_reference(ideal, q, mode):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 8))
+def test_ci_rees_matches_engine(m, n, q):
+    """The staircase counter of the Rees algebra of (x^m, y^n) equals the
+    engine's count on its presentation k[x, y, u, v] / (x^m v - y^n u)."""
+    p, _ = parse_presentation(f"vars: x y u v\nbin: x^{m}*v - y^{n}*u\ndim: 3\n")
+    assert presets.ci_rees(m, n).counter(q) == frobenius_colength(p, q)
+
+
 # ---------------------------------------------------------------------------
 # Semigroups
 
@@ -379,8 +388,8 @@ def test_semigroup_order_function_against_brute_force():
     """Point (x, y) is in the k-th packed ord layer iff ord(x, y) >= k."""
     from hkrees.lattice import _PackedBox
 
-    for s in (semigroup_veronese(2), semigroup_binomial_an(3)):
-        grid = _PackedBox(s, 12, 12)
+    for s, q in ((semigroup_veronese(2), 5), (semigroup_binomial_an(3), 4)):
+        grid = _PackedBox(s, q)  # both boxes are [0,12]^2
         ordv = {}
         layer, k = grid.members, 0
         while layer:
