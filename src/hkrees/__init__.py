@@ -27,6 +27,7 @@ from .estimator import ColengthSample, HKEstimate, estimate, normalized_sequence
 from .lattice import (
     MonomialIdeal2D,
     Semigroup2D,
+    ci_rees_colength,
     equality_criterion,
     rees_monomial_colength,
     segre_colength,
@@ -44,7 +45,7 @@ __all__ = [
     "PureDifferenceBinomial", "frobenius_colength", "ClosureError",
     "DimensionError", "ParameterError", "RankError", "ColengthSample",
     "HKEstimate", "estimate", "normalized_sequence", "MonomialIdeal2D",
-    "Semigroup2D", "equality_criterion", "rees_monomial_colength",
-    "segre_colength", "semigroup_ehk_colength",
+    "Semigroup2D", "ci_rees_colength", "equality_criterion",
+    "rees_monomial_colength", "segre_colength", "semigroup_ehk_colength",
     "semigroup_extrees_colength", "veronese_rees_colength",
 ]

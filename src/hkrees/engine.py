@@ -365,6 +365,9 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
         tag, rest = tag.strip(), rest.strip()
         if tag == "vars":
             variables = rest.split()
+            for i, name in enumerate(variables):
+                if name in variables[:i]:
+                    raise ParameterError(f"repeated variable {name!r} in vars: line")
         elif tag == "bin":
             parts = rest.split("-")
             if len(parts) != 2:

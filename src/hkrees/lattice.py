@@ -2,13 +2,15 @@
 
 Each counter returns the exact colength of a bracket power as an integer,
 computed from explicit graded-piece descriptions: staircase areas for
-Rees algebras of 2D monomial ideals, alpha tables for Segre products and
-Veronese Rees algebras, and membership columns on a proven box for 2D
-affine semigroup rings and their extended Rees algebras.
+Rees algebras of 2D monomial ideals, a point-by-point count for the Rees
+algebra of (x^m, y^n), alpha tables for Segre products and Veronese Rees
+algebras, and membership columns on a proven box for 2D affine semigroup
+rings and their extended Rees algebras.
 
 The Segre and Veronese Rees colengths are polynomials in q from q = 1 on,
 so those two counters sum their alpha tables only at the first few q and
-evaluate the polynomial there; their cost does not grow with q.
+evaluate the polynomial there, and the (x^m, y^n) count is summed in
+closed form; the cost of these three does not grow with q.
 """
 
 from __future__ import annotations
@@ -290,6 +292,93 @@ def rees_monomial_colength(ideal: MonomialIdeal2D, q: int, mode: str) -> int:
     return total
 
 
+def _floor_sum(t: int, n: int) -> int:
+    """Sum of floor(b/n) over 0 <= b < t."""
+    u, v = divmod(t, n)
+    return n * u * (u - 1) // 2 + u * v
+
+
+def _delta_counts(q: int, m: int) -> list[tuple[int, int]]:
+    """(value, count) pairs of Delta(a) = floor(a/m) - floor((a-q)/m) over
+    q <= a < qm.  With q = sm + r, Delta(a) is s + 1 when a mod m < r and s
+    otherwise; r(q - s - 1) of the a have a mod m < r."""
+    s, r = divmod(q, m)
+    plus = r * (q - s - 1)
+    return [(s, q * (m - 1) - plus), (s + 1, plus)]
+
+
+def _simplex(k: int, d: int) -> int:
+    """Sum of max(0, k - i_1 - ... - i_(d-1)) over i_1, ..., i_(d-1) >= 0,
+    which is C(k + d - 1, d) for k >= 0 and 0 below."""
+    return math.comb(max(k, 0) + d - 1, d)
+
+
+def _strip(q: int, m: int, n: int) -> int:
+    """Sum of max(0, q - 1 - floor((a-q)/m) - floor(b/n)) over a >= qm and
+    0 <= b < q.
+
+    Let u = floor((a-q)/m) and w = floor(b/n).  The a >= qm give
+    u >= q - ceil(q/m): m values of a each, except d = (-q) mod m fewer at
+    the first u.  The b < q give w < v = floor(q/n), n values each, and
+    rho = q mod n values at w = v.  With i = u - (q - ceil(q/m)) and
+    k = ceil(q/m) - 1 the term is max(0, k - i - w), so the sum is the full
+    m n weight over w < v, plus m rho at w = v, less d n and d rho at i = 0.
+    """
+    k = -(-q // m) - 1
+    d = -q % m
+    v, rho = divmod(q, n)
+    return (
+        m * n * (_simplex(k, 3) - _simplex(k - v, 3))
+        + m * rho * _simplex(k - v, 2)
+        - d * n * (_simplex(k, 2) - _simplex(k - v, 2))
+        - d * rho * _simplex(k - v, 1)
+    )
+
+
+def ci_rees_colength(m: int, n: int, q: int) -> int:
+    """Colength of the q-th bracket power of the maximal homogeneous ideal
+    M = (x, y, x^m t, y^n t) of the Rees algebra of I = (x^m, y^n): the
+    value of `rees_monomial_colength` in mode "maximal-ideal", counted
+    point by point and summed in closed form, so its cost does not grow
+    with q.
+
+    Proof.  p = (a, b) lies in I^k iff nu(p) = floor(a/m) + floor(b/n) >= k,
+    so the monomials of degree k in t are the p with nu(p) >= k.  Let
+    Delta_m(a) = floor(a/m) - floor((a-q)/m) for a >= q and infinity for
+    a < q, and Delta_n(b) likewise.  Then p lies in x^q I^k iff
+    k <= nu(p) - Delta_m(a), in y^q I^k iff k <= nu(p) - Delta_n(b), and in
+    I^[q] I^(k-q) iff q <= k <= nu(p) and (a >= qm or b >= qn).  So p counts
+    the degrees nu - Delta < k <= nu, Delta = min(Delta_m, Delta_n), that is
+    min(Delta, nu + 1) of them, less those with k >= q when a >= qm or
+    b >= qn.  As Delta_m(a) <= floor(a/m) for a >= q:
+
+    - a < qm, b < qn: nu + 1 counts only when a, b < q, where the count is
+      nu + 1.  For a < q <= b it is Delta_n(b), for b < q <= a it is
+      Delta_m(a), and for a, b >= q it is min(Delta_m, Delta_n), where
+      Delta_m takes only the values counted by `_delta_counts`.
+    - a >= qm: then nu >= q and the count is max(0, q - 1 - nu + Delta).  If
+      b >= q it is 0, since Delta_n(b) <= floor(b/n) <= nu - q; if b < q it
+      is max(0, q - 1 - floor((a-q)/m) - floor(b/n)), which `_strip` sums.
+    - b >= qn and a < qm: the same with the axes swapped.
+
+    With F(t, n) the sum of floor(b/n) over b < t (`_floor_sum`), the
+    a, b < q give q^2 + q (F(q, m) + F(q, n)), and the sum of Delta_n(b)
+    over q <= b < qn telescopes into F(qn, n) - F(q, n) - F(qn - q, n).
+    """
+    if m < 1 or n < 1 or q < 1:
+        raise ParameterError(f"need m, n, q >= 1, got ({m}, {n}, {q})")
+    total = q * q + q * (_floor_sum(q, m) + _floor_sum(q, n))
+    for e in (m, n):
+        total += q * (_floor_sum(q * e, e) - _floor_sum(q, e)
+                      - _floor_sum(q * e - q, e))
+    total += sum(
+        nx * ny * min(x, y)
+        for x, nx in _delta_counts(q, m)
+        for y, ny in _delta_counts(q, n)
+    )
+    return total + _strip(q, m, n) + _strip(q, n, m)
+
+
 # ---------------------------------------------------------------------------
 # 2D affine semigroup rings
 
@@ -492,9 +581,10 @@ def parse_semigroup(text: str) -> Semigroup2D:
         line = line[3:]
     pairs = []
     for chunk in line.replace("(", " ").replace(")", " ").split():
-        xs = chunk.split(",")
-        if len(xs) != 2:
-            raise ParameterError(f"bad generator {chunk!r}")
-        pairs.append((int(xs[0]), int(xs[1])))
+        try:
+            a, b = map(int, chunk.split(","))
+        except ValueError:
+            raise ParameterError(f"bad generator {chunk!r}") from None
+        pairs.append((a, b))
     return Semigroup2D(tuple(sorted(set(pairs))))
 

@@ -141,15 +141,14 @@ def veronese_rees(c: int, d: int) -> Preset:
 
 
 def ci_rees(m: int, n: int) -> Preset:
-    """Rees algebra of I = (x^m, y^n) in k[x, y], via the staircase
-    counter on the maximal homogeneous ideal."""
-    ideal = lattice.MonomialIdeal2D.from_gens([(m, 0), (0, n)])
+    """Rees algebra of I = (x^m, y^n) in k[x, y], via the point-by-point
+    counter `lattice.ci_rees_colength` on the maximal homogeneous ideal;
+    the staircase counter `lattice.rees_monomial_colength` is its test
+    oracle."""
     return Preset(
         description=f"ci-rees m={m} n={n}",
         dimension=3,
-        counter=lambda q: lattice.rees_monomial_colength(
-            ideal, q, "maximal-ideal"
-        ),
+        counter=lambda q: lattice.ci_rees_colength(m, n, q),
         target=cf.ci_rees_values(m, n).ehk_rees,
     )
 

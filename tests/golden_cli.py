@@ -99,6 +99,11 @@ def _oracle_cases() -> list[list[str]]:
     runs.append(["oracle", "--preset", "segre", "--c", "2", "--d", "2",
                  "--grid", "pow2", "--q", "8,4"])
     runs.append(["oracle", "--preset", "segre", "--c", "2", "--d", "2"])
+    # ci-rees ladders at large q, where the colength counter does real work
+    for m, n, qs in (("2", "3", "64,96,128"), ("1", "2", "48,64,100")):
+        for j in ([], ["--json"]):
+            runs.append(["oracle", "--preset", "ci-rees", "--m", m, "--n", n,
+                         "--q", qs, *j])
     # the cache is keyed on the description strings: inspect pins them
     for p in PRESETS[::3]:
         runs.append(["oracle", "--preset", *p, "--q", "2,3",

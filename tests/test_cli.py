@@ -411,6 +411,20 @@ def test_oracle_rejects_flags_its_family_does_not_take(capsys, argv, err):
     assert captured.err == err
 
 
+@pytest.mark.parametrize("preset, text, err", [
+    ("presentation", "vars: x x\nbin: x - x^2\ndim: 1\n",
+     "error: repeated variable 'x' in vars: line\n"),
+    ("semigroup", "sg: (0, 2) (1,1) (2,0)\n", "error: bad generator '0,'\n"),
+], ids=["repeated-variable", "non-integer-coordinate"])
+def test_oracle_rejects_malformed_file_exit_3(capsys, tmp_path, preset, text, err):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    code, out, got = run_cli(
+        capsys, "oracle", "--preset", preset, "--file", str(f), "--q", "2,3",
+    )
+    assert (code, out, got) == (3, "", err)
+
+
 def test_oracle_presentation_wrong_dimension_exit_3(capsys, tmp_path):
     f = tmp_path / "pres.txt"
     f.write_text("vars: x y z\nbin: x*y - z^2\ndim: 5\n")

@@ -373,3 +373,5 @@ def test_parse_monomial_and_presentation():
         parse_presentation("bin: x - y")
     with pytest.raises(ParameterError):
         parse_presentation("vars: x y")
+    with pytest.raises(ParameterError, match="repeated variable 'y'"):
+        parse_presentation("vars: x y y\nbin: x - y\ndim: 1")

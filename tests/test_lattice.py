@@ -22,6 +22,7 @@ from hkrees.errors import DimensionError, ParameterError, RankError
 from hkrees.lattice import (
     MonomialIdeal2D,
     Semigroup2D,
+    ci_rees_colength,
     equality_criterion,
     parse_semigroup,
     quotient_length,
@@ -342,10 +343,69 @@ def test_rees_colength_matches_reference(ideal, q, mode):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 8))
 def test_ci_rees_matches_engine(m, n, q):
-    """The staircase counter of the Rees algebra of (x^m, y^n) equals the
+    """The ci-rees counter of the Rees algebra of (x^m, y^n) equals the
     engine's count on its presentation k[x, y, u, v] / (x^m v - y^n u)."""
     p, _ = parse_presentation(f"vars: x y u v\nbin: x^{m}*v - y^{n}*u\ndim: 3\n")
     assert presets.ci_rees(m, n).counter(q) == frobenius_colength(p, q)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 40))
+def test_ci_rees_colength_matches_staircase_counter(m, n, q):
+    ideal = MonomialIdeal2D.from_gens([(m, 0), (0, n)])
+    assert ci_rees_colength(m, n, q) == rees_monomial_colength(
+        ideal, q, "maximal-ideal"
+    )
+
+
+def test_ci_rees_colength_pinned_values():
+    assert ci_rees_colength(2, 3, 96) == 2129856
+    assert ci_rees_colength(1, 2, 64) == 415040
+
+
+@pytest.mark.parametrize("m, n, q", [(0, 1, 2), (1, 0, 2), (1, 1, 0), (-1, 2, 3)])
+def test_ci_rees_colength_rejects_parameters_below_one(m, n, q):
+    with pytest.raises(ParameterError):
+        ci_rees_colength(m, n, q)
+
+
+def test_ci_rees_preset_multiplies_no_staircases(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ci-rees counter built a staircase product")
+
+    monkeypatch.setattr(lattice, "rees_monomial_colength", forbidden)
+    monkeypatch.setattr(MonomialIdeal2D, "multiply", forbidden)
+    assert presets.ci_rees(2, 3).counter(96) == 2129856
+
+
+def _cubic_at(xs, ys, x):
+    """Value at x of the cubic through the four points (xs, ys), exactly."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = Fraction(yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ci_rees_leading_term_is_closed_form(m, n):
+    """On each residue class r mod L = lcm(m, n) the colength agrees with
+    the cubic through q = r+L, ..., r+4L at three held-out q, the last near
+    10^4, and the cubic's leading coefficient is e_HK of the Rees algebra.
+    The period L is evidence from these checks, not a proof."""
+    period = math.lcm(m, n)
+    target = cf.ci_rees_values(m, n).ehk_rees
+    for r in range(period):
+        xs = [r + k * period for k in range(1, 5)]
+        ys = [ci_rees_colength(m, n, x) for x in xs]
+        for x in (r + 5 * period, r + 6 * period, r + period * (10**4 // period)):
+            assert _cubic_at(xs, ys, x) == ci_rees_colength(m, n, x), (m, n, r, x)
+        third_difference = ys[3] - 3 * ys[2] + 3 * ys[1] - ys[0]
+        assert Fraction(third_difference, 6 * period**3) == target, (m, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -569,5 +629,7 @@ def test_parse_semigroup():
     s = parse_semigroup("sg: (3,0) (1,1) (0,3)")
     assert s.generators == ((0, 3), (1, 1), (3, 0))
     assert parse_semigroup("sg: (1,1) (3,0) (1,1) (0,3)") == s
-    with pytest.raises(ParameterError):
-        parse_semigroup("sg: (1,2,3)")
+    for text, chunk in (("sg: (1,2,3)", "1,2,3"), ("sg: (0, 2) (2,0)", "0,"),
+                        ("sg: (0,x) (2,0)", "0,x")):
+        with pytest.raises(ParameterError, match=f"bad generator '{chunk}'"):
+            parse_semigroup(text)
