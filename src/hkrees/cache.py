@@ -145,11 +145,8 @@ class ColengthCache:
             os.remove(self.path)
 
 
-def cached_counter(preset, cache: "ColengthCache | None"):
+def cached_counter(preset, cache: ColengthCache):
     """Wrap a preset's counter with cache lookups keyed on its description."""
-    if cache is None:
-        return preset.counter
-
     def counter(q: int) -> int:
         hit = cache.get(preset.description, q)
         if hit is not None:

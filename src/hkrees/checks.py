@@ -117,8 +117,8 @@ def suite_prop412() -> list[CheckResult]:
     """Rees-algebra value dominates the base multiplicity, checked with
     estimator brackets on the 2D lattice counters."""
     out = []
-    samples = [presets.ci_rees(1, 1).sample(q) for q in (8, 16, 32)]
-    est = estimate(samples, 3)
+    p = presets.ci_rees(1, 1)
+    est = estimate([p.sample(q) for q in (8, 16, 32)], p.dimension)
     out.append(_cmp(
         "prop412/polynomial-ring",
         est.leading >= 1,
@@ -127,7 +127,7 @@ def suite_prop412() -> list[CheckResult]:
     ))
     for c in (1, 2, 3):
         p = presets.veronese_rees(c, 2)
-        est = estimate([p.sample(q) for q in (8, 16, 32)], 3)
+        est = estimate([p.sample(q) for q in (8, 16, 32)], p.dimension)
         out.append(_cmp(
             f"prop412/veronese-c{c}",
             est.leading >= c,
@@ -160,14 +160,8 @@ def suite_prop57() -> list[CheckResult]:
         ))
 
     def brackets(s):
-        q_values = (12, 24, 48)
-        base = estimate(
-            [presets.semigroup(s).sample(q) for q in q_values], 2
-        ).bracket
-        ext = estimate(
-            [presets.semigroup_extrees(s).sample(q) for q in q_values], 3
-        ).bracket
-        return base, ext
+        return [estimate([p.sample(q) for q in (12, 24, 48)], p.dimension).bracket
+                for p in (presets.semigroup(s), presets.semigroup_extrees(s))]
 
     b, e = brackets(lattice.semigroup_veronese(2))
     overlap = b[0] <= e[1] and e[0] <= b[1]

@@ -21,7 +21,7 @@ import sys
 from . import closed_forms as cf
 from . import checks, engine, lattice, presets
 from .cache import ColengthCache, cached_counter
-from .errors import ClosureError, DimensionError, ParameterError, RankError
+from .errors import ClosureError, ParameterError
 from .estimator import estimate, normalized_sequence
 from .exact import format_fraction, stirling2
 
@@ -238,8 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, DimensionError, RankError, ClosureError,
-            OSError, ValueError) as exc:
+    except (ValueError, ClosureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,6 +2,9 @@
 of the supported ring families: binomial hypersurfaces, Segre products,
 Veronese subrings and their Rees algebras, and Rees algebras of
 two-variable complete-intersection monomial ideals.
+
+Routes that only check these values (alpha_q by inclusion-exclusion, the
+density whose moments are the I_k limits) are in tests/reference_routes.py.
 """
 
 from __future__ import annotations
@@ -45,14 +48,6 @@ def alpha(d: int, n: int) -> int:
     if n < 0:
         return 0
     return binomial(n + d - 1, d - 1)
-
-
-def alpha_q(d: int, n: int, q: int) -> int:
-    """Number of degree-n monomials in d variables with every exponent < q,
-    by inclusion-exclusion over which exponents reach q."""
-    if d < 1 or q < 1:
-        raise ParameterError(f"alpha_q requires d, q >= 1, got d={d}, q={q}")
-    return sum((-1) ** i * binomial(d, i) * alpha(d, n - i * q) for i in range(d + 1))
 
 
 def _elementary_symmetric(values: list[int]) -> list[int]:
@@ -241,25 +236,6 @@ def veronese_rees_ehk_general(p: VeroneseParams) -> Fraction:
         - 2 * veronese_I_limits(p, 2 * c, 0)
         + veronese_I_limits(p, 2 * c, 1)
     )
-
-
-def fc_density(p: VeroneseParams, t: Fraction) -> Fraction:
-    """The piecewise-polynomial density whose moments are the I_k limits;
-    vanishes for t >= c + d - 1."""
-    c, d = p.c, p.d
-    if d < 2:
-        raise ParameterError(f"density requires d >= 2, got d={d}")
-    t = Fraction(t)
-    if t < 0:
-        raise ParameterError(f"density defined for t >= 0, got {t}")
-    ft = math.floor(t)
-    total = Fraction(0)
-    for l in range(min(c - 1, ft) + 1):
-        inner = Fraction(0)
-        for i in range(min(d, ft - l) + 1):
-            inner += (-1) ** i * binomial(d, i) * (t - l - i) ** (d - 1)
-        total += alpha(d, l) * inner
-    return total / (c * factorial(d - 1))
 
 
 @dataclass(frozen=True)

@@ -326,15 +326,16 @@ def frobenius_colength(p: PresentedQuotient, q: int,
 
 def parse_monomial(text: str, variables: list[str]) -> Monomial:
     """Parse `x^2*y` style monomial text against a variable list."""
+    text = text.strip()
     expo = [0] * len(variables)
     for factor in text.replace(" ", "").split("*"):
         if not factor:
             raise ParameterError(f"empty factor in monomial {text!r}")
-        if "^" in factor:
-            name, _, power = factor.partition("^")
-            e = int(power)
-        else:
-            name, e = factor, 1
+        name, caret, power = factor.partition("^")
+        try:
+            e = int(power) if caret else 1
+        except ValueError:
+            raise ParameterError(f"bad exponent {power!r} in {text!r}") from None
         if name not in variables:
             raise ParameterError(f"unknown variable {name!r} in {text!r}")
         if e < 0:
@@ -383,7 +384,10 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
         elif tag == "mono":
             monomials.append(parse_monomial(rest, variables))
         elif tag == "dim":
-            dimension = int(rest)
+            try:
+                dimension = int(rest)
+            except ValueError:
+                raise ParameterError(f"bad dim: value {rest!r}") from None
         elif tag == "order":
             kind, _, chain = rest.partition(" ")
             perm = None

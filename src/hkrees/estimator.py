@@ -46,10 +46,8 @@ class HKEstimate:
         return {
             "samples": [[s.q, s.count] for s in self.samples],
             "dimension": self.dimension,
-            "normalized": [
-                format_fraction(Fraction(s.count, s.q**self.dimension))
-                for s in self.samples
-            ],
+            "normalized": [format_fraction(v) for v in
+                           normalized_sequence(self.samples, self.dimension)],
             "leading": format_fraction(self.leading),
             "bracket": [format_fraction(b) for b in self.bracket],
             "leading_approx": float(self.leading),

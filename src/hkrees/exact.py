@@ -3,12 +3,15 @@
 All multiplicity values produced by this package are `fractions.Fraction`
 instances (auto-normalized: positive denominator, gcd(num, den) = 1).
 No floating point is used anywhere in the computational core.
+
+Stirling numbers come from one cached row per n, built by the recurrence;
+the alternating-sum route that checks them is in tests/reference_routes.py.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -32,46 +35,20 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-# Triangular memo table for Stirling numbers, grown on demand.  Row n holds
-# S(n, 0..n).  Guarded by a lock so concurrent first-use is safe; reads of
-# already-built rows are lock-free (rows are append-only and immutable).
-_stirling_rows: list[list[int]] = [[1]]
-_stirling_lock = threading.Lock()
+@functools.cache
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    """S(n, 0..n), by the recurrence S(m, k) = k*S(m-1, k) + S(m-1, k-1)."""
+    row = (1,)
+    for m in range(1, n + 1):
+        row = (0, *(k * row[k] + row[k - 1] for k in range(1, m)), 1)
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), by the recurrence
-    S(n, k) = k*S(n-1, k) + S(n-1, k-1)."""
+    """Stirling number of the second kind S(n, k)."""
     if n < 0 or k < 0:
         raise ParameterError(f"stirling2 requires n, k >= 0, got ({n}, {k})")
-    if k > n:
-        return 0
-    if n >= len(_stirling_rows):
-        with _stirling_lock:
-            while n >= len(_stirling_rows):
-                prev = _stirling_rows[-1]
-                m = len(_stirling_rows)
-                row = [0] * (m + 1)
-                for j in range(1, m):
-                    row[j] = j * prev[j] + prev[j - 1]
-                row[m] = 1
-                _stirling_rows.append(row)
-    return _stirling_rows[n][k]
-
-
-def stirling2_by_sum(n: int, k: int) -> int:
-    """S(n, k) via the alternating sum (1/k!) sum_i (-1)^(k-i) C(k,i) i^n.
-
-    Independent of the recurrence path; the two must agree everywhere.
-    """
-    if n < 0 or k < 0:
-        raise ParameterError(f"stirling2 requires n, k >= 0, got ({n}, {k})")
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = sum((-1) ** (k - i) * binomial(k, i) * i**n for i in range(k + 1))
-    num, rem = divmod(total, factorial(k))
-    assert rem == 0, "alternating Stirling sum not divisible by k!"
-    return num
+    return _stirling2_row(n)[k] if k <= n else 0
 
 
 def format_fraction(x: Fraction | int) -> str:

@@ -394,16 +394,10 @@ class Semigroup2D:
         g = self.generators
         if len(g) < 2:
             raise ParameterError("need at least two generators")
-        a_vals = [p[0] for p in g]
-        b_vals = [p[1] for p in g]
-        if a_vals != sorted(a_vals) or a_vals[0] != 0:
+        if g[0][0] != 0 or any(x[0] >= y[0] for x, y in zip(g, g[1:])):
             raise ParameterError(f"a_i must satisfy 0 = a_0 < ... < a_s: {g}")
-        if any(x == y for x, y in zip(a_vals, a_vals[1:])):
-            raise ParameterError(f"a_i must be strictly increasing: {g}")
-        if b_vals != sorted(b_vals, reverse=True) or b_vals[-1] != 0:
+        if g[-1][1] != 0 or any(x[1] <= y[1] for x, y in zip(g, g[1:])):
             raise ParameterError(f"b_i must satisfy b_s = 0 < ... < b_0: {g}")
-        if any(x == y for x, y in zip(b_vals, b_vals[1:])):
-            raise ParameterError(f"b_i must be strictly decreasing: {g}")
         if self.index() == 0:
             raise RankError(f"generators do not span a rank-2 lattice: {g}")
 

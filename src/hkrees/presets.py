@@ -47,69 +47,46 @@ class Preset:
         return ColengthSample(self.q_scale * q, self.counter(q))
 
 
-def _an_presentation(n: int) -> engine.PresentedQuotient:
-    return engine.PresentedQuotient(
-        variables=("x", "y", "z"),
-        binomials=(engine.PureDifferenceBinomial((1, 1, 0), (0, 0, n)),),
-        dimension=2,
-    )
-
-
-def _an_extrees_presentation(n: int) -> engine.PresentedQuotient:
-    return engine.PresentedQuotient(
-        variables=("x", "y", "z", "w"),
-        binomials=(
-            engine.PureDifferenceBinomial((1, 1, 0, 0), (0, 0, n, n - 2)),
-        ),
-        dimension=3,
-    )
+# The built-in engine rings, written in the presentation format that
+# `oracle --file` reads.  Each preset takes its dimension from the dim: line.
+ENGINE_RINGS = {
+    "an-hypersurface": lambda n: f"vars: x y z\nbin: x*y - z^{n}\ndim: 2\n",
+    "an-extrees": lambda n: f"vars: x y z w\nbin: x*y - z^{n}*w^{n - 2}\ndim: 3\n",
+    "ci-extrees": lambda m, n: (
+        f"vars: x y z w t\nbin: x^{m} - z*t\nbin: y^{n} - w*t\ndim: 3\n"),
+}
 
 
 def ci_extrees_presentation(m: int, n: int) -> engine.PresentedQuotient:
     """Extended Rees algebra of (x^m, y^n) in k[x, y], presented on five
     variables with relations x^m - zt and y^n - wt."""
-    return engine.PresentedQuotient(
-        variables=("x", "y", "z", "w", "t"),
-        binomials=(
-            engine.PureDifferenceBinomial((m, 0, 0, 0, 0), (0, 0, 1, 0, 1)),
-            engine.PureDifferenceBinomial((0, n, 0, 0, 0), (0, 0, 0, 1, 1)),
-        ),
-        dimension=3,
-    )
+    return engine.parse_presentation(ENGINE_RINGS["ci-extrees"](m, n))[0]
 
 
-def _engine_counter(p: engine.PresentedQuotient,
-                    order: engine.MonomialOrderSpec | None):
-    def counter(q: int) -> int:
-        return engine.frobenius_colength(p, q, order)
-
-    return counter
+def _engine_preset(description: str, p: engine.PresentedQuotient,
+                   order: engine.MonomialOrderSpec | None,
+                   target: Fraction | None = None) -> Preset:
+    return Preset(description, p.dimension,
+                  lambda q: engine.frobenius_colength(p, q, order), target)
 
 
 def an_hypersurface(n: int,
                     order: engine.MonomialOrderSpec | None = None) -> Preset:
-    """k[x,y,z]/(xy - z^n), dimension 2."""
+    """The binomial hypersurface k[x,y,z]/(xy - z^n)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    return Preset(
-        description=f"an-hypersurface n={n}",
-        dimension=2,
-        counter=_engine_counter(_an_presentation(n), order),
-        target=cf.conca_ehk([1, 1], [n]),
-    )
+    p, _ = engine.parse_presentation(ENGINE_RINGS["an-hypersurface"](n))
+    return _engine_preset(f"an-hypersurface n={n}", p, order,
+                          cf.conca_ehk([1, 1], [n]))
 
 
 def an_extrees(n: int,
                order: engine.MonomialOrderSpec | None = None) -> Preset:
-    """k[x,y,z,w]/(xy - z^n w^(n-2)), dimension 3: the extended Rees
-    algebra of the maximal ideal of the n-th binomial hypersurface."""
+    """k[x,y,z,w]/(xy - z^n w^(n-2)): the extended Rees algebra of the
+    maximal ideal of the n-th binomial hypersurface."""
     target = cf.an_extrees_ehk(n)  # rejects n < 2
-    return Preset(
-        description=f"an-extrees n={n}",
-        dimension=3,
-        counter=_engine_counter(_an_extrees_presentation(n), order),
-        target=target,
-    )
+    p, _ = engine.parse_presentation(ENGINE_RINGS["an-extrees"](n))
+    return _engine_preset(f"an-extrees n={n}", p, order, target)
 
 
 def segre(c: int, d: int) -> Preset:
@@ -158,19 +135,19 @@ def ci_extrees(m: int, n: int,
     """Extended Rees algebra of (x^m, y^n), via the Buchberger engine."""
     if m < 1 or n < 1:
         raise ParameterError(f"exponents must be >= 1, got ({m}, {n})")
-    return Preset(
-        description=f"ci-extrees m={m} n={n}",
-        dimension=3,
-        counter=_engine_counter(ci_extrees_presentation(m, n), order),
-        target=cf.ci_rees_values(m, n).ehk_extrees,
-    )
+    return _engine_preset(f"ci-extrees m={m} n={n}",
+                          ci_extrees_presentation(m, n), order,
+                          cf.ci_rees_values(m, n).ehk_extrees)
+
+
+def _generators(s: lattice.Semigroup2D) -> str:
+    return " ".join(f"({a},{b})" for a, b in s.generators)
 
 
 def semigroup(s: lattice.Semigroup2D) -> Preset:
     """Affine semigroup ring k[S] for a rank-2 semigroup."""
-    gens = " ".join(f"({a},{b})" for a, b in s.generators)
     return Preset(
-        description=f"semigroup {gens}",
+        description=f"semigroup {_generators(s)}",
         dimension=2,
         counter=lambda q: lattice.semigroup_ehk_colength(s, q),
     )
@@ -178,9 +155,8 @@ def semigroup(s: lattice.Semigroup2D) -> Preset:
 
 def semigroup_extrees(s: lattice.Semigroup2D) -> Preset:
     """Extended Rees algebra of the maximal ideal of k[S]."""
-    gens = " ".join(f"({a},{b})" for a, b in s.generators)
     return Preset(
-        description=f"semigroup-extrees {gens}",
+        description=f"semigroup-extrees {_generators(s)}",
         dimension=3,
         counter=lambda q: lattice.semigroup_extrees_colength(s, q),
     )
@@ -204,8 +180,4 @@ def presentation(p: engine.PresentedQuotient,
     parts.append(f"dim={p.dimension}")
     if order is not None:
         parts.append(f"order={order.kind},{order.permutation}")
-    return Preset(
-        description="presentation " + " ".join(parts),
-        dimension=p.dimension,
-        counter=_engine_counter(p, order),
-    )
+    return _engine_preset("presentation " + " ".join(parts), p, order)

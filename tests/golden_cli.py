@@ -36,6 +36,8 @@ FILES = {
     "pres-mono.txt": "vars: x y z\nbin: x*y - z^3\nmono: z^5\ndim: 1\n",
     "wrong-dim.txt": "vars: x y z\nbin: x*y - z^2\ndim: 3\n",
     "bad-tag.txt": "vars: x y\nfoo: x\ndim: 1\n",
+    "bad-exponent.txt": "vars: x y\nbin: x^ - y\ndim: 1\n",
+    "bad-dim.txt": "vars: x y z\nbin: x*y - z^2\ndim: one\n",
 }
 
 
@@ -157,6 +159,8 @@ ERRORS = [
     ["oracle", "--preset", "semigroup", "--file", f"{TMP}/bad-sg.txt"],
     ["oracle", "--preset", "presentation", "--file", f"{TMP}/wrong-dim.txt"],
     ["oracle", "--preset", "presentation", "--file", f"{TMP}/bad-tag.txt"],
+    ["oracle", "--preset", "presentation", "--file", f"{TMP}/bad-exponent.txt"],
+    ["oracle", "--preset", "presentation", "--file", f"{TMP}/bad-dim.txt"],
 ]
 
 

@@ -415,7 +415,12 @@ def test_oracle_rejects_flags_its_family_does_not_take(capsys, argv, err):
     ("presentation", "vars: x x\nbin: x - x^2\ndim: 1\n",
      "error: repeated variable 'x' in vars: line\n"),
     ("semigroup", "sg: (0, 2) (1,1) (2,0)\n", "error: bad generator '0,'\n"),
-], ids=["repeated-variable", "non-integer-coordinate"])
+    ("presentation", "vars: x y\nbin: x^ - y\ndim: 1\n",
+     "error: bad exponent '' in 'x^'\n"),
+    ("presentation", "vars: x y z\nbin: x*y - z^2\ndim: one\n",
+     "error: bad dim: value 'one'\n"),
+], ids=["repeated-variable", "non-integer-coordinate", "empty-exponent",
+        "non-integer-dim"])
 def test_oracle_rejects_malformed_file_exit_3(capsys, tmp_path, preset, text, err):
     f = tmp_path / "input.txt"
     f.write_text(text)

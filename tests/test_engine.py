@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkrees import lattice
+from hkrees import lattice, presets
 from hkrees.engine import (
     MonomialOrderSpec,
     PresentedQuotient,
@@ -222,6 +222,19 @@ def test_krull_dimension_of_relations():
         PresentedQuotient(("x", "y", "z"), (), ((1, 0, 0), (0, 1, 0)), 1)
     ) == 1
     assert krull_dimension(PresentedQuotient(("x",), (), ((0,),), 1)) == -1
+
+
+@pytest.mark.parametrize("family, params", [
+    *(("an-hypersurface", (n,)) for n in range(1, 6)),
+    *(("an-extrees", (n,)) for n in range(2, 6)),
+    *(("ci-extrees", (m, n)) for m in range(1, 4) for n in range(1, 4)),
+])
+def test_builtin_engine_ring_declares_its_krull_dimension(family, params):
+    # built-in presets skip the check that `presets.presentation` runs
+    p, order = parse_presentation(presets.ENGINE_RINGS[family](*params))
+    assert order is None
+    assert p.dimension == krull_dimension(p) == krull_dimension(p, GREVLEX)
+    assert getattr(presets, family.replace("-", "_"))(*params).dimension == p.dimension
 
 
 def test_frobenius_regular_ring():

@@ -11,8 +11,9 @@ from hkrees.exact import (
     factorial,
     format_fraction,
     stirling2,
-    stirling2_by_sum,
 )
+
+from reference_routes import stirling2_by_sum
 
 # Reference triangle for S(n, k), n = 1..10, k = 1..10.
 STIRLING_TABLE = [
