@@ -23,7 +23,7 @@ from . import checks, engine, lattice, presets
 from .cache import ColengthCache, cached_counter
 from .errors import ClosureError, ParameterError
 from .estimator import estimate, normalized_sequence
-from .exact import format_fraction, stirling2
+from .exact import format_fraction, parse_int, stirling2
 
 
 def _require(args, names):
@@ -36,7 +36,7 @@ def _require(args, names):
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [parse_int(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ParameterError(f"bad integer list {text!r}")
 
@@ -118,7 +118,7 @@ def _grid_values(args) -> list[int]:
     if args.grid == "pow2" or args.grid is None:
         return values
     if args.grid.startswith("primepow:"):
-        p = int(args.grid.partition(":")[2])
+        p = parse_int(args.grid.partition(":")[2])
         if p < 2:
             raise ParameterError(f"prime base must be >= 2, got {p}")
         return [p**e for e in values]
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_params(p):
         for flag in ("c", "d", "m", "n"):
-            p.add_argument(f"--{flag}", type=int)
+            p.add_argument(f"--{flag}", type=parse_int)
 
     f = sub.add_parser("formula", help="evaluate a closed form")
     f.add_argument("family", choices=list(FORMULAS))

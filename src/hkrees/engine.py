@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ClosureError, DimensionError, ParameterError
+from .exact import parse_int
 
 Monomial = tuple[int, ...]
 # An element is (lead, tail): tail is None for a monomial, otherwise the
@@ -157,19 +158,13 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
                extra_monomials: tuple[Monomial, ...] = ()) -> list[Element]:
     """Reduced Groebner basis of the presentation ideal (plus any extra
     monomial generators, e.g. Frobenius powers)."""
-    gens: list[Element] = []
+    basis: list[Element] = []
     for b in p.binomials:
         e = _make_element(b.plus, b.minus, order)
         if e is not None:
-            gens.append(_check_closure(e))
+            basis.append(_check_closure(e))
     for m in tuple(p.monomials) + tuple(extra_monomials):
-        gens.append(_check_closure((m, None)))
-
-    basis: list[Element] = []
-    for g in gens:
-        r = reduce(g, basis, order)
-        if r is not None:
-            basis.append(r)
+        basis.append(_check_closure((m, None)))
 
     # Pairs leave the heap by lcm degree; the insertion sequence number
     # breaks ties first-in first-out.  Two kinds of pair never enter: two
@@ -333,7 +328,7 @@ def parse_monomial(text: str, variables: list[str]) -> Monomial:
             raise ParameterError(f"empty factor in monomial {text!r}")
         name, caret, power = factor.partition("^")
         try:
-            e = int(power) if caret else 1
+            e = parse_int(power) if caret else 1
         except ValueError:
             raise ParameterError(f"bad exponent {power!r} in {text!r}") from None
         if name not in variables:
@@ -352,18 +347,26 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
         mono: x^4
         dim: 3
         order: lex x>y>z>w>t
+
+    `vars:`, `dim:` and `order:` may each appear once; every integer
+    follows `exact.parse_int`.
     """
     variables: list[str] = []
     binomials: list[PureDifferenceBinomial] = []
     monomials: list[Monomial] = []
     dimension = None
     order = None
+    once: set[str] = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tag, _, rest = line.partition(":")
         tag, rest = tag.strip(), rest.strip()
+        if tag in ("vars", "dim", "order"):
+            if tag in once:
+                raise ParameterError(f"repeated {tag}: line")
+            once.add(tag)
         if tag == "vars":
             variables = rest.split()
             for i, name in enumerate(variables):
@@ -385,7 +388,7 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
             monomials.append(parse_monomial(rest, variables))
         elif tag == "dim":
             try:
-                dimension = int(rest)
+                dimension = parse_int(rest)
             except ValueError:
                 raise ParameterError(f"bad dim: value {rest!r}") from None
         elif tag == "order":

@@ -6,12 +6,14 @@ No floating point is used anywhere in the computational core.
 
 Stirling numbers come from one cached row per n, built by the recurrence;
 the alternating-sum route that checks them is in tests/reference_routes.py.
+`parse_int` is the one rule for integers read from input.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -49,6 +51,18 @@ def stirling2(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ParameterError(f"stirling2 requires n, k >= 0, got ({n}, {k})")
     return _stirling2_row(n)[k] if k <= n else 0
+
+
+def parse_int(text: str) -> int:
+    """The integer written as ASCII digits with an optional leading minus.
+
+    Every integer read from a file or the command line goes through this
+    rule; `int` alone would also take underscores, spaces, a plus sign and
+    non-ASCII digits, so `1_0` or a full-width digit would pass silently.
+    """
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ParameterError(f"bad integer {text!r}")
+    return int(text)
 
 
 def format_fraction(x: Fraction | int) -> str:

@@ -4,8 +4,8 @@ Each counter returns the exact colength of a bracket power as an integer,
 computed from explicit graded-piece descriptions: staircase areas for
 Rees algebras of 2D monomial ideals, a point-by-point count for the Rees
 algebra of (x^m, y^n), alpha tables for Segre products and Veronese Rees
-algebras, and membership columns on a proven box for 2D affine semigroup
-rings and their extended Rees algebras.
+algebras, and one packed membership bitset on a proven box for 2D affine
+semigroup rings and their extended Rees algebras.
 
 The Segre and Veronese Rees colengths are polynomials in q from q = 1 on,
 so those two counters sum their alpha tables only at the first few q and
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, ParameterError, RankError
+from .exact import parse_int
 
 # ---------------------------------------------------------------------------
 # Monomial counts in d variables
@@ -440,53 +441,55 @@ def _box(s: Semigroup2D, q: int) -> tuple[int, int]:
     )
 
 
-def _columns(s: Semigroup2D, q: int) -> tuple[list[int], list[int], int]:
-    """Columns x = 0..W of S and of Phi_0 = union of the q g_i + S in the
-    box [0, W] x [0, H] of `_box`, each an int whose bit y says (x, y) is
-    in the set, and the height H."""
-    width, height = _box(s, q)
-    mask = (1 << (height + 1)) - 1
-    b0 = s.b  # g_0 = (0, b); every other generator has a_i > 0
-    cols: list[int] = []
-    covs: list[int] = []
-    for x in range(width + 1):
-        col = int(x == 0)
-        for ga, gb in s.generators[1:]:
-            if ga <= x:
-                col |= cols[x - ga] << gb
-        shift = b0
-        while shift <= height:  # close under + (0, b) by doubling shifts
-            col |= col << shift
-            shift <<= 1
-        cols.append(col & mask)
-        cov = 0
-        for ga, gb in s.generators:
-            if q * ga <= x:
-                cov |= cols[x - q * ga] << (q * gb)
-        covs.append(cov & mask)
-    return cols, covs, height
-
-
 class _PackedBox:
-    """Subsets of the box of `_box` as one int whose bit x*stride + y is
-    the point (x, y).  Each column takes whole bytes with at least b free
-    rows above the height, so a translate by one generator never reaches
-    the next column before `step` masks it back to the box."""
+    """Subsets of the box [0, W] x [0, H] of `_box` as one int whose bit
+    x*stride + y is the point (x, y).  Each column takes whole bytes with
+    at least b free rows above H, so a translate by one generator never
+    reaches the next column before `step` masks it back to the box.
+
+    `members` is S in the box, the ord layer L_0.  It starts as the origin
+    and is closed under each generator g in turn by the translates by g,
+    2g, 4g, ...: after those by 2^j g for j < k it holds every multiple
+    m g with m < 2^k, and the translates go on while the multiple still
+    fits in the box (while the origin's translate is not empty), so every
+    multiple that fits is reached.  Closing in turn gives all of S in the
+    box, because every partial sum of a representation sum n_i g_i lies
+    below the point, so inside the box.  `phi` is Phi_0, the union of the
+    translates S + q g_i in the box; they need only S in the box, since
+    p - q g_i lies below p.
+    """
 
     def __init__(self, s: Semigroup2D, q: int):
-        cols, covs, height = _columns(s, q)
-        nbytes = (height + s.b + 8) // 8  # ceil((height + 1 + b) / 8)
-        self.stride = 8 * nbytes
+        self.width, self.height = _box(s, q)
+        self.nbytes = (self.height + s.b + 8) // 8  # ceil((H + 1 + b) / 8)
+        self.stride = 8 * self.nbytes
         self.shifts = [ga * self.stride + gb for ga, gb in s.generators]
+        self.box = self._rows(self.height)
+        members = 1
+        for ga, gb in s.generators:
+            k = 1
+            while shifted := self.translate(members, k * ga, k * gb):
+                members |= shifted
+                k <<= 1
+        self.members = members
+        self.phi = 0
+        for ga, gb in s.generators:
+            self.phi |= self.translate(members, q * ga, q * gb)
 
-        def pack(columns) -> int:
-            return int.from_bytes(
-                b"".join(c.to_bytes(nbytes, "little") for c in columns), "little"
-            )
+    def _rows(self, top: int) -> int:
+        """The rows 0..top of every column of the box."""
+        column = ((1 << (top + 1)) - 1).to_bytes(self.nbytes, "little")
+        return int.from_bytes(column * (self.width + 1), "little")
 
-        self.members = pack(cols)  # S in the box, the ord layer L_0
-        self.phi = pack(covs)  # Phi_0
-        self.box = pack([(1 << (height + 1)) - 1] * len(cols))
+    def translate(self, bits: int, a: int, b: int) -> int:
+        """bits + (a, b), cut to the box.  When H + b reaches the stride,
+        the rows above H - b are cleared first: their translates leave the
+        box anyway, and would otherwise wrap into the next column."""
+        if a > self.width or b > self.height:
+            return 0
+        if self.height + b >= self.stride:
+            bits &= self._rows(self.height - b)
+        return (bits << (a * self.stride + b)) & self.box
 
     def step(self, layer: int) -> int:
         """Union of the translates layer + g_i, cut to the box: the ord
@@ -503,8 +506,8 @@ def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
     the colength of the q-th bracket power of the maximal ideal."""
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    cols, covs, _ = _columns(s, q)
-    return sum((col & ~cov).bit_count() for col, cov in zip(cols, covs))
+    grid = _PackedBox(s, q)
+    return (grid.members & ~grid.phi).bit_count()
 
 
 def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
@@ -576,7 +579,7 @@ def parse_semigroup(text: str) -> Semigroup2D:
     pairs = []
     for chunk in line.replace("(", " ").replace(")", " ").split():
         try:
-            a, b = map(int, chunk.split(","))
+            a, b = map(parse_int, chunk.split(","))
         except ValueError:
             raise ParameterError(f"bad generator {chunk!r}") from None
         pairs.append((a, b))

@@ -38,6 +38,12 @@ FILES = {
     "bad-tag.txt": "vars: x y\nfoo: x\ndim: 1\n",
     "bad-exponent.txt": "vars: x y\nbin: x^ - y\ndim: 1\n",
     "bad-dim.txt": "vars: x y z\nbin: x*y - z^2\ndim: one\n",
+    "repeated-vars.txt": "vars: x y z\nbin: x*y - z^2\ndim: 2\nvars: a b c\n",
+    "repeated-dim.txt": "vars: x y z\nbin: x*y - z^2\ndim: 2\ndim: 3\n",
+    "repeated-order.txt":
+        "vars: x y z\nbin: x*y - z^2\norder: lex\ndim: 2\norder: grevlex\n",
+    "underscore-exponent.txt": "vars: x y z\nbin: x*y - z^1_0\ndim: 2\n",
+    "underscore-sg.txt": "sg: (0,2) (1,1) (2,0_0)\n",
 }
 
 
@@ -161,6 +167,16 @@ ERRORS = [
     ["oracle", "--preset", "presentation", "--file", f"{TMP}/bad-tag.txt"],
     ["oracle", "--preset", "presentation", "--file", f"{TMP}/bad-exponent.txt"],
     ["oracle", "--preset", "presentation", "--file", f"{TMP}/bad-dim.txt"],
+    ["oracle", "--preset", "presentation", "--file", f"{TMP}/repeated-vars.txt"],
+    ["oracle", "--preset", "presentation", "--file", f"{TMP}/repeated-dim.txt"],
+    ["oracle", "--preset", "presentation", "--file", f"{TMP}/repeated-order.txt"],
+    ["oracle", "--preset", "presentation", "--file",
+     f"{TMP}/underscore-exponent.txt"],
+    ["oracle", "--preset", "semigroup", "--file", f"{TMP}/underscore-sg.txt"],
+    ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "1_6,3_2"],
+    ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "\uff18,16"],
+    ["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid", "primepow:x"],
+    ["formula", "segre", "--c", "1_0", "--d", "2"],
 ]
 
 

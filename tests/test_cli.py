@@ -419,8 +419,15 @@ def test_oracle_rejects_flags_its_family_does_not_take(capsys, argv, err):
      "error: bad exponent '' in 'x^'\n"),
     ("presentation", "vars: x y z\nbin: x*y - z^2\ndim: one\n",
      "error: bad dim: value 'one'\n"),
+    ("presentation", "vars: x y z\nbin: x*y - z^2\ndim: 2\nvars: a b c\n",
+     "error: repeated vars: line\n"),
+    ("presentation", "vars: x y z\nbin: x*y - z^2\ndim: 2\ndim: 2\n",
+     "error: repeated dim: line\n"),
+    ("presentation",
+     "vars: x y z\nbin: x*y - z^2\norder: lex\ndim: 2\norder: grevlex\n",
+     "error: repeated order: line\n"),
 ], ids=["repeated-variable", "non-integer-coordinate", "empty-exponent",
-        "non-integer-dim"])
+        "non-integer-dim", "repeated-vars", "repeated-dim", "repeated-order"])
 def test_oracle_rejects_malformed_file_exit_3(capsys, tmp_path, preset, text, err):
     f = tmp_path / "input.txt"
     f.write_text(text)
@@ -428,6 +435,47 @@ def test_oracle_rejects_malformed_file_exit_3(capsys, tmp_path, preset, text, er
         capsys, "oracle", "--preset", preset, "--file", str(f), "--q", "2,3",
     )
     assert (code, out, got) == (3, "", err)
+
+
+# int() also reads underscores and non-ASCII digits; every integer from
+# outside must be ASCII digits with an optional leading minus.
+@pytest.mark.parametrize("argv, text, code, err", [
+    (["oracle", "--preset", "presentation", "--q", "2,3"],
+     "vars: x y z\nbin: x*y - z^1_0\ndim: 2\n",
+     3, "error: bad exponent '1_0' in 'z^1_0'\n"),
+    (["oracle", "--preset", "presentation", "--q", "2,3"],
+     "vars: x y z\nbin: x*y - z^2\ndim: \uff12\n",
+     3, "error: bad dim: value '\uff12'\n"),
+    (["oracle", "--preset", "semigroup", "--q", "2,3"],
+     "sg: (0,2) (1,1) (2,0_0)\n", 3, "error: bad generator '2,0_0'\n"),
+    (["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "1_6,3_2"],
+     None, 3, "error: bad integer list '1_6,3_2'\n"),
+    (["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "\uff18,16"],
+     None, 3, "error: bad integer list '\uff18,16'\n"),
+    (["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid",
+      "primepow:x", "--q", "1,2"], None, 3, "error: bad integer 'x'\n"),
+    (["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid",
+      "primepow:+3", "--q", "1,2"], None, 3, "error: bad integer '+3'\n"),
+    (["formula", "conca", "--ds", "1,1", "--es", "1_0"],
+     None, 3, "error: bad integer list '1_0'\n"),
+    (["formula", "segre", "--c", "1_0", "--d", "2"], None, 2, "'1_0'"),
+    (["formula", "ci-rees", "--m", "2", "--n", "\u0663"], None, 2, "'\u0663'"),
+], ids=["exponent", "dim", "coordinate", "q-underscore", "q-fullwidth",
+        "grid-base", "grid-plus", "conca-list", "flag-underscore",
+        "flag-arabic-indic"])
+def test_integers_from_input_are_ascii_digits(capsys, tmp_path, argv, text,
+                                              code, err):
+    if text is not None:
+        f = tmp_path / "input.txt"
+        f.write_text(text, encoding="utf-8")
+        argv = [*argv, "--file", str(f)]
+    try:
+        got_code, out, got_err = run_cli(capsys, *argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        got_code, got_err = exc.code, capsys.readouterr().err
+        out = ""
+    assert (got_code, out) == (code, "")
+    assert got_err == err if code == 3 else err in got_err
 
 
 def test_oracle_presentation_wrong_dimension_exit_3(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hkrees.exact import (
     binomial,
     factorial,
     format_fraction,
+    parse_int,
     stirling2,
 )
 
@@ -107,6 +108,19 @@ def test_fraction_round_trip():
     assert format_fraction(Fraction(6, 3)) == "2"
     assert format_fraction(5) == "5"
     assert Fraction(format_fraction(Fraction(899, 360))) == Fraction(899, 360)
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("12", 12), ("-3", -3),
+                                         ("007", 7)])
+def test_parse_int_reads_ascii_digits(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "+1", " 1", "1 ", "1_0", "--1",
+                                  "1.0", "0x1", "\uff11", "\u0663", "1\n"])
+def test_parse_int_rejects_everything_else(text):
+    with pytest.raises(ParameterError, match="bad integer"):
+        parse_int(text)
 
 
 def test_fractions_are_canonical():

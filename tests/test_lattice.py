@@ -470,13 +470,46 @@ def test_semigroup_order_function_against_brute_force():
 
 
 @st.composite
-def semigroups(draw):
+def semigroups(draw, top=4):
     """Normalized rank-2 semigroups: 0 = a_0 < ... < a_s and
-    b_0 > ... > b_s = 0, with 2 to 4 generators and coordinates <= 4."""
+    b_0 > ... > b_s = 0, with 2 to 4 generators and coordinates <= top."""
     s = draw(st.integers(1, 3))
-    a = sorted(draw(st.sets(st.integers(1, 4), min_size=s, max_size=s)))
-    b = sorted(draw(st.sets(st.integers(1, 4), min_size=s, max_size=s)))
+    a = sorted(draw(st.sets(st.integers(1, top), min_size=s, max_size=s)))
+    b = sorted(draw(st.sets(st.integers(1, top), min_size=s, max_size=s)))
     return Semigroup2D(tuple(zip([0] + a, b[::-1] + [0])))
+
+
+def unpack(bits, stride):
+    """The points (x, y) of a packed box int."""
+    return {divmod(i, stride) for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups(top=7), st.integers(1, 9))
+def test_packed_box_matches_brute_force_sets(s, q):
+    """members is the closure of the origin under the generators inside
+    the rectangle of `_box`, and phi the union of its translates by the
+    q g_i there; no bit lies outside that rectangle."""
+    from hkrees.lattice import _PackedBox, _box
+
+    width, height = _box(s, q)
+    members, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for ga, gb in s.generators:
+            p = (x + ga, y + gb)
+            if p[0] <= width and p[1] <= height and p not in members:
+                members.add(p)
+                frontier.append(p)
+    phi = {
+        (x + q * ga, y + q * gb)
+        for x, y in members
+        for ga, gb in s.generators
+        if x + q * ga <= width and y + q * gb <= height
+    }
+    grid = _PackedBox(s, q)
+    assert unpack(grid.members, grid.stride) == members
+    assert unpack(grid.phi, grid.stride) == phi
 
 
 def brute_force_ehk(s, q):
@@ -514,6 +547,17 @@ def test_semigroup_ehk_veronese_exact():
     s = semigroup_veronese(2)
     for q in (2, 4, 8, 16):
         assert Fraction(semigroup_ehk_colength(s, q), q * q) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("gens, q, value", [
+    (((0, 5), (2, 1), (3, 0)), 240, 633600),
+    (((0, 5), (2, 1), (3, 0)), 500, 2749900),
+    (((0, 2), (1, 1), (2, 0)), 500, 375000),
+    (((0, 3), (1, 2), (2, 1), (3, 0)), 500, 500000),
+])
+def test_semigroup_ehk_pinned_large_q(gens, q, value):
+    """Values recorded with the earlier column-by-column counter."""
+    assert semigroup_ehk_colength(Semigroup2D(gens), q) == value
 
 
 def test_semigroup_ehk_binomial_an_converges():
