@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
+from operator import lshift
 from dataclasses import dataclass
 
 from .errors import ClosureError, DimensionError, ParameterError
@@ -39,10 +40,14 @@ class MonomialOrderSpec:
                 raise ParameterError(f"not a permutation: {self.permutation}")
 
     def key(self, m: Monomial):
-        perm = self.permutation or tuple(range(len(m)))
+        if self.permutation is not None:
+            m = tuple(map(m.__getitem__, self.permutation))
         if self.kind == "lex":
-            return tuple(m[i] for i in perm)
-        return (sum(m), tuple(-m[i] for i in reversed(perm)))
+            return m
+        return (sum(m), tuple(map(operator.neg, reversed(m))))
+
+
+_LEX = MonomialOrderSpec("lex")
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,6 @@ class PresentedQuotient:
             raise ParameterError("dimension must be >= 1")
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(operator.le, a, b))
-
-
 def _sub(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.sub, a, b))
 
@@ -92,7 +93,7 @@ def _lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def _check_closure(e: Element) -> Element:
     lead, tail = e
-    if any(x < 0 for x in lead) or (tail is not None and any(x < 0 for x in tail)):
+    if min(lead, default=0) < 0 or (tail is not None and min(tail, default=0) < 0):
         raise ClosureError(f"negative exponent in {e}")
     if tail is not None and lead == tail:
         raise ClosureError(f"unnormalized zero element {e}")
@@ -110,36 +111,126 @@ def _make_element(u: Monomial, v: Monomial | None, order: MonomialOrderSpec) -> 
     return (u, v)
 
 
+class _PackedBasis(list):
+    """A list of elements that also keeps their terms packed into ints:
+    `leads[k]` and `tails[k]` are element k's lead and tail (0 for none).
+
+    Variable i takes the bits [i*f, (i+1)*f) with f = width + 1, and the
+    top bit of each field is a guard, clear while every exponent is below
+    2^width.  For packed a and b with clear guards, a divides b iff
+    (b - a) & guard == 0: a field with a_i <= b_i subtracts without a
+    borrow, and the lowest field with a_i > b_i wraps and sets its guard.
+    The width comes from the largest exponent present, plus one spare bit;
+    a term that does not fit makes `widen` re-pack everything wider, so no
+    field ever wraps into the next.
+    """
+
+    __slots__ = ("nvars", "limit", "shifts", "guard", "leads", "tails")
+
+    def __init__(self, elements: list[Element], nvars: int):
+        super().__init__(elements)
+        self.nvars = nvars
+        terms = filter(None, itertools.chain.from_iterable(self))  # tails may be None
+        exponents = list(itertools.chain.from_iterable(terms))
+        if min(exponents, default=0) < 0:
+            for e in self:
+                _check_closure(e)  # names the element
+        self.widen(max(exponents, default=0))
+
+    def widen(self, top: int):
+        """Make every exponent up to `top` fit, and re-pack."""
+        width = top.bit_length() + 1
+        field = width + 1
+        self.limit = 1 << width
+        self.shifts = shifts = range(0, self.nvars * field, field)
+        # one guard bit per field: a repunit in base 2^field, shifted up
+        self.guard = ((1 << self.nvars * field) - 1) // ((1 << field) - 1) << width
+        leads, tails = self.leads, self.tails = [], []
+        for lead, tail in self:
+            leads.append(sum(map(lshift, lead, shifts)))
+            tails.append(0 if tail is None else sum(map(lshift, tail, shifts)))
+
+    def append(self, e: Element):
+        """Append `e`, which `reduce` against this basis returned, so its
+        terms fit the fields."""
+        super().append(e)
+        lead, tail = e
+        self.leads.append(sum(map(lshift, lead, self.shifts)))
+        self.tails.append(0 if tail is None else sum(map(lshift, tail, self.shifts)))
+
+    def select(self, indices: list[int]) -> _PackedBasis:
+        """The elements at `indices`, in that order, with the same packing."""
+        chosen = _PackedBasis.__new__(_PackedBasis)
+        chosen.extend(map(self.__getitem__, indices))
+        chosen.nvars, chosen.limit = self.nvars, self.limit
+        chosen.shifts, chosen.guard = self.shifts, self.guard
+        chosen.leads = list(map(self.leads.__getitem__, indices))
+        chosen.tails = list(map(self.tails.__getitem__, indices))
+        return chosen
+
+
 def reduce(element: Element, basis: list[Element], order: MonomialOrderSpec) -> Element | None:
     """Full normal form of a monomial or pure-difference element.
 
     Reduction by a binomial rewrites a term along the relation; reduction by
     a monomial deletes a term.  Either way the result stays in the
     monomial/pure-difference class (coefficients stay +-1), which is what
-    keeps the whole engine characteristic-free.
+    keeps the whole engine characteristic-free.  Each step rewrites by the
+    first basis element whose lead divides a term, testing the lead term
+    before the tail.
     """
-    current: Element | None = element
-    while current is not None:
-        lead, tail = current
-        for bl, bt in basis:
-            if _divides(bl, lead):
-                if bt is None:
-                    current = (tail, None) if tail is not None else None
-                else:
-                    current = _make_element(_add(_sub(lead, bl), bt), tail, order)
-                break
-            if tail is not None and _divides(bl, tail):
-                if bt is None:
-                    current = (lead, None)
-                else:
-                    # replacement term is strictly below tail, so lead stays lead
-                    current = _make_element(lead, _add(_sub(tail, bl), bt), order)
+    if not isinstance(basis, _PackedBasis):
+        _check_closure(element)
+        basis = _PackedBasis(basis, len(element[0]))
+    lead, tail = element
+    stale = True
+    while True:
+        if stale:
+            top = max(lead) if tail is None else max(max(lead), max(tail))
+            if top >= basis.limit:
+                basis.widen(top)
+            shifts, guard, leads, tails = basis.shifts, basis.guard, basis.leads, basis.tails
+            packed_lead = sum(map(lshift, lead, shifts))
+            packed_tail = 0 if tail is None else sum(map(lshift, tail, shifts))
+            stale = False
+        for i, b in enumerate(leads):
+            if not (packed_lead - b) & guard:
                 break
         else:
-            return _check_closure(current)
-        if current is not None:
-            _check_closure(current)
-    return None
+            i = len(leads)
+        k = i
+        if tail is not None:
+            # only a lead before the lead term's first divisor can win
+            for j in range(i):
+                if not (packed_tail - leads[j]) & guard:
+                    k = j
+                    break
+        if k < i:
+            term, packed, other, packed_other = tail, packed_tail, lead, packed_lead
+        elif i < len(leads):
+            term, packed, other, packed_other = lead, packed_lead, tail, packed_tail
+        else:
+            return _check_closure((lead, tail))
+        bl, bt = basis[k]
+        if bt is None:
+            if other is None:
+                return None
+            lead, packed_lead, tail, packed_tail = other, packed_other, None, 0
+        else:
+            # packed arithmetic cannot borrow (bl divides term) or carry (every
+            # field stays below 2^(width+1)); a set guard means it needs widening
+            term, packed = _add(_sub(term, bl), bt), packed - leads[k] + tails[k]
+            if min(term) < 0:
+                raise ClosureError(f"negative exponent in {term}")
+            if other is None:
+                lead, packed_lead = term, packed
+            elif term == other:
+                return None
+            elif order.key(term) < order.key(other):
+                lead, packed_lead, tail, packed_tail = other, packed_other, term, packed
+            else:
+                lead, packed_lead, tail, packed_tail = term, packed, other, packed_other
+            stale = (packed_lead | packed_tail) & guard
 
 
 def _s_pair(f: Element, g: Element, lcm: Monomial,
@@ -158,31 +249,32 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
                extra_monomials: tuple[Monomial, ...] = ()) -> list[Element]:
     """Reduced Groebner basis of the presentation ideal (plus any extra
     monomial generators, e.g. Frobenius powers)."""
-    basis: list[Element] = []
+    gens: list[Element] = []
     for b in p.binomials:
         e = _make_element(b.plus, b.minus, order)
         if e is not None:
-            basis.append(_check_closure(e))
-    for m in tuple(p.monomials) + tuple(extra_monomials):
-        basis.append(_check_closure((m, None)))
+            gens.append(e)
+    gens += [(m, None) for m in tuple(p.monomials) + tuple(extra_monomials)]
+    basis = _PackedBasis(gens, len(p.variables))  # checks the exponents
 
     # Pairs leave the heap by lcm degree; the insertion sequence number
     # breaks ties first-in first-out.  Two kinds of pair never enter: two
-    # monomials (their S-pair is zero) and coprime leads (it reduces to
-    # zero).
+    # monomials (their S-pair is zero), so a monomial pairs only with the
+    # binomials before it, and coprime leads (it reduces to zero).
     pairs: list[tuple[int, int, Monomial, int, int]] = []
     seq = itertools.count()
+    binomials: list[int] = []
 
     def push_pairs(k: int):
         lead, tail = basis[k]
-        for t in range(k):
-            other, other_tail = basis[t]
-            if tail is None and other_tail is None:
+        for t in (binomials if tail is None else range(k)):
+            other = basis[t][0]
+            if not any(map(min, lead, other)):
                 continue
             lcm = _lcm(lead, other)
-            if lcm == _add(lead, other):
-                continue
             heapq.heappush(pairs, (sum(lcm), next(seq), lcm, k, t))
+        if tail is not None:
+            binomials.append(k)
 
     for k in range(len(basis)):
         push_pairs(k)
@@ -200,19 +292,28 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
     return _autoreduce(basis, order)
 
 
-def _autoreduce(basis: list[Element], order: MonomialOrderSpec) -> list[Element]:
+def _autoreduce(basis: _PackedBasis, order: MonomialOrderSpec) -> list[Element]:
     """The unique reduced basis, sorted by leading term: one pass keeps the
     elements whose lead no smaller lead divides, then reduces each tail
     against the others."""
-    minimal: list[Element] = []
-    for e in sorted(basis, key=lambda e: order.key(e[0])):
+    leads, guard = basis.leads, basis.guard
+    keys = [order.key(lead) for lead, _ in basis]
+    keep: list[int] = []
+    kept: list[int] = []  # their packed leads
+    for k in sorted(range(len(basis)), key=keys.__getitem__):
         # a divisor of a monomial precedes it in every monomial order
-        if not any(_divides(m[0], e[0]) for m in minimal):
-            minimal.append(e)
+        lead = leads[k]
+        for m in kept:
+            if not (lead - m) & guard:
+                break
+        else:
+            keep.append(k)
+            kept.append(lead)
     # No lead divides another, so only binomial tails reduce, and a tail
     # never reduces to its own lead: no element vanishes or changes lead.
-    return [e if e[1] is None else reduce(e, minimal[:i] + minimal[i + 1:], order)
-            for i, e in enumerate(minimal)]
+    return [basis[k] if basis[k][1] is None
+            else reduce(basis[k], basis.select(keep[:i] + keep[i + 1:]), order)
+            for i, k in enumerate(keep)]
 
 
 def initial_ideal(gb: list[Element]) -> list[Monomial]:
@@ -227,7 +328,7 @@ def krull_dimension(p: PresentedQuotient,
     """Krull dimension of the presented ring, read off the initial ideal of
     its relations: the size of the largest set of variables that contains
     the support of no minimal leading term (-1 for the zero ring)."""
-    order = order or MonomialOrderSpec("lex")
+    order = order or _LEX
     gb = buchberger(p, order)
     supports = {
         frozenset(i for i, e in enumerate(m) if e)
@@ -306,11 +407,9 @@ def frobenius_colength(p: PresentedQuotient, q: int,
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     if order is None:
-        order = MonomialOrderSpec("lex")
+        order = _LEX
     nvars = len(p.variables)
-    powers = tuple(
-        tuple(q if j == i else 0 for j in range(nvars)) for i in range(nvars)
-    )
+    powers = tuple((0,) * i + (q,) + (0,) * (nvars - 1 - i) for i in range(nvars))
     gb = buchberger(p, order, extra_monomials=powers)
     return count_standard_monomials(initial_ideal(gb))
 
@@ -348,30 +447,37 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
         dim: 3
         order: lex x>y>z>w>t
 
-    `vars:`, `dim:` and `order:` may each appear once; every integer
-    follows `exact.parse_int`.
+    `vars:`, `dim:` and `order:` may each appear once, in any line; every
+    integer follows `exact.parse_int`.
     """
-    variables: list[str] = []
+    lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            tag, _, rest = line.partition(":")
+            lines.append((tag.strip(), rest.strip()))
+    # the other lines name the variables, so vars: is read first
+    declared = [rest for tag, rest in lines if tag == "vars"]
+    if len(declared) > 1:
+        raise ParameterError("repeated vars: line")
+    variables = declared[0].split() if declared else []
+    if not variables:
+        raise ParameterError("presentation has no vars: line")
+    for i, name in enumerate(variables):
+        if name in variables[:i]:
+            raise ParameterError(f"repeated variable {name!r} in vars: line")
     binomials: list[PureDifferenceBinomial] = []
     monomials: list[Monomial] = []
     dimension = None
     order = None
     once: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, _, rest = line.partition(":")
-        tag, rest = tag.strip(), rest.strip()
-        if tag in ("vars", "dim", "order"):
+    for tag, rest in lines:
+        if tag in ("dim", "order"):
             if tag in once:
                 raise ParameterError(f"repeated {tag}: line")
             once.add(tag)
         if tag == "vars":
-            variables = rest.split()
-            for i, name in enumerate(variables):
-                if name in variables[:i]:
-                    raise ParameterError(f"repeated variable {name!r} in vars: line")
+            continue
         elif tag == "bin":
             parts = rest.split("-")
             if len(parts) != 2:
@@ -402,8 +508,6 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
             order = MonomialOrderSpec(kind, perm)
         else:
             raise ParameterError(f"unknown line tag {tag!r}")
-    if not variables:
-        raise ParameterError("presentation has no vars: line")
     if dimension is None:
         raise ParameterError("presentation has no dim: line")
     pq = PresentedQuotient(

@@ -44,6 +44,8 @@ FILES = {
         "vars: x y z\nbin: x*y - z^2\norder: lex\ndim: 2\norder: grevlex\n",
     "underscore-exponent.txt": "vars: x y z\nbin: x*y - z^1_0\ndim: 2\n",
     "underscore-sg.txt": "sg: (0,2) (1,1) (2,0_0)\n",
+    "order-before-vars.txt": "order: lex x>y>z\nvars: x y z\nbin: x*y - z^2\ndim: 2\n",
+    "bin-before-vars.txt": "bin: x*y - z^2\nvars: x y z\ndim: 2\n",
 }
 
 
@@ -179,10 +181,19 @@ ERRORS = [
     ["formula", "segre", "--c", "1_0", "--d", "2"],
 ]
 
+# Valid files whose vars: line is not the first line; appended last so the
+# runs before them keep their places.
+LATE = [
+    ["oracle", "--preset", "presentation", "--file", f"{TMP}/order-before-vars.txt",
+     "--q", "2,4,8"],
+    ["oracle", "--preset", "presentation", "--file", f"{TMP}/bin-before-vars.txt",
+     "--q", "2,4,8"],
+]
+
 
 def cases() -> list[list[str]]:
     suites = [["check", "--suite", s, *j] for s in SUITES for j in ([], ["--json"])]
-    return _formula_cases() + _oracle_cases() + suites + ERRORS
+    return _formula_cases() + _oracle_cases() + suites + ERRORS + LATE
 
 
 def choice_lists() -> dict[str, list[str]]:

@@ -6,15 +6,22 @@ package computes another way, so the two routes check each other:
 - `alpha_q`: bounded monomial counts by inclusion-exclusion, against
   enumeration and the lattice counters;
 - `fc_density`: the piecewise-polynomial density whose moments are the
-  limits `hkrees.closed_forms.veronese_I_limits` evaluates as finite sums.
+  limits `hkrees.closed_forms.veronese_I_limits` evaluates as finite sums;
+- `buchberger_by_scan` and `reduce_by_scan`: the Buchberger engine with
+  exponent tuples compared entry by entry and its own monomial order keys,
+  against the packed divisibility tests of `hkrees.engine`.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from hkrees.closed_forms import VeroneseParams, alpha
+from hkrees.engine import _add, _check_closure, _lcm, _sub
 from hkrees.errors import ParameterError
 from hkrees.exact import binomial, factorial
 
@@ -56,3 +63,100 @@ def fc_density(p: VeroneseParams, t: Fraction) -> Fraction:
             inner += (-1) ** i * binomial(d, i) * (t - l - i) ** (d - 1)
         total += alpha(d, l) * inner
     return total / (c * factorial(d - 1))
+
+
+def order_key(order, m):
+    """Sort key of monomial m under a `MonomialOrderSpec`."""
+    perm = order.permutation or tuple(range(len(m)))
+    if order.kind == "lex":
+        return tuple(m[i] for i in perm)
+    return (sum(m), tuple(-m[i] for i in reversed(perm)))
+
+
+def _divides(a, b):
+    return all(map(operator.le, a, b))
+
+
+def _make_element(u, v, order):
+    if v is None:
+        return (u, None)
+    if u == v:
+        return None
+    if order_key(order, u) < order_key(order, v):
+        u, v = v, u
+    return (u, v)
+
+
+def reduce_by_scan(element, basis, order):
+    """Normal form of `element`: each step rewrites by the first basis
+    element whose lead divides the lead term, or else the tail."""
+    current = element
+    while current is not None:
+        lead, tail = current
+        for bl, bt in basis:
+            if _divides(bl, lead):
+                if bt is None:
+                    current = (tail, None) if tail is not None else None
+                else:
+                    current = _make_element(_add(_sub(lead, bl), bt), tail, order)
+                break
+            if tail is not None and _divides(bl, tail):
+                if bt is None:
+                    current = (lead, None)
+                else:
+                    current = _make_element(lead, _add(_sub(tail, bl), bt), order)
+                break
+        else:
+            return _check_closure(current)
+        if current is not None:
+            _check_closure(current)
+    return None
+
+
+def buchberger_by_scan(p, order, extra_monomials=()):
+    """Reduced Groebner basis, sorted by lead: S-pairs by lcm degree, first
+    in first out, skipping monomial pairs and coprime leads; then one
+    minimal-lead pass and tail reduction."""
+    basis = []
+    for b in p.binomials:
+        e = _make_element(b.plus, b.minus, order)
+        if e is not None:
+            basis.append(_check_closure(e))
+    for m in tuple(p.monomials) + tuple(extra_monomials):
+        basis.append(_check_closure((m, None)))
+    pairs = []
+    seq = itertools.count()
+
+    def push_pairs(k):
+        lead, tail = basis[k]
+        for t in range(k):
+            other, other_tail = basis[t]
+            if tail is None and other_tail is None:
+                continue
+            lcm = _lcm(lead, other)
+            if lcm == _add(lead, other):
+                continue
+            heapq.heappush(pairs, (sum(lcm), next(seq), lcm, k, t))
+
+    for k in range(len(basis)):
+        push_pairs(k)
+    while pairs:
+        _, _, lcm, i, j = heapq.heappop(pairs)
+        (li, ti), (lj, tj) = basis[i], basis[j]
+        if ti is None:
+            s = (_add(_sub(lcm, lj), tj), None)
+        elif tj is None:
+            s = (_add(_sub(lcm, li), ti), None)
+        else:
+            s = _make_element(_add(_sub(lcm, li), ti), _add(_sub(lcm, lj), tj), order)
+        r = None if s is None else reduce_by_scan(s, basis, order)
+        if r is not None:
+            basis.append(r)
+            push_pairs(len(basis) - 1)
+
+    minimal = []
+    for e in sorted(basis, key=lambda e: order_key(order, e[0])):
+        if not any(_divides(m[0], e[0]) for m in minimal):
+            minimal.append(e)
+    return [e if e[1] is None else reduce_by_scan(e, minimal[:i] + minimal[i + 1:], order)
+            for i, e in enumerate(minimal)]

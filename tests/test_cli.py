@@ -437,6 +437,24 @@ def test_oracle_rejects_malformed_file_exit_3(capsys, tmp_path, preset, text, er
     assert (code, out, got) == (3, "", err)
 
 
+@pytest.mark.parametrize("text", [
+    "order: lex x>y>z\nvars: x y z\nbin: x*y - z^2\ndim: 2\n",
+    "bin: x*y - z^2\nvars: x y z\ndim: 2\norder: lex x>y>z\n",
+    "dim: 1\nmono: z^5\norder: grevlex z>y>x\nbin: x*y - z^3\nvars: x y z\n",
+], ids=["order-first", "bin-first", "vars-last"])
+def test_oracle_reads_vars_line_first(capsys, tmp_path, text):
+    # the same ring as with vars: on the first line
+    first = tmp_path / "first.txt"
+    lines = text.splitlines()
+    first.write_text("\n".join(sorted(lines, key=lambda l: not l.startswith("vars:"))))
+    later = tmp_path / "later.txt"
+    later.write_text(text)
+    runs = [run_cli(capsys, "oracle", "--preset", "presentation", "--file", str(f),
+                    "--q", "2,4,8", "--json") for f in (first, later)]
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 # int() also reads underscores and non-ASCII digits; every integer from
 # outside must be ASCII digits with an optional leading minus.
 @pytest.mark.parametrize("argv, text, code, err", [

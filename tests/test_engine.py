@@ -22,6 +22,7 @@ from hkrees.engine import (
     reduce,
 )
 from hkrees.errors import DimensionError, ParameterError
+from reference_routes import buchberger_by_scan, reduce_by_scan
 
 LEX = MonomialOrderSpec("lex")
 GREVLEX = MonomialOrderSpec("grevlex")
@@ -78,6 +79,109 @@ def test_reduce_by_monomial_deletes_term():
     basis = [((2, 0), None)]
     assert reduce(((3, 1), None), basis, LEX) is None
     assert reduce(((3, 0), (0, 1)), basis, LEX) == ((0, 1), None)
+
+
+# z > y > x: rewriting along z - x^n grows the exponent of x, the lowest
+# field, so a field too narrow for it would spill into the fields above.
+ZYX = MonomialOrderSpec("lex", (2, 1, 0))
+
+
+# Three scales, so that the exponents outgrow a field of any fixed width
+# up to 64 bits and spill into the field of z.
+WIDE = [2**40, 2**64, 2**140]
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_reduce_widens_fields_for_large_exponents(n):
+    # The fields are first sized for n; rewriting z^1000 (or the tail
+    # z^1000) needs exponents 1000 times larger.
+    basis = [((0, 0, 1), (n, 0, 0))]
+    assert reduce(((0, 0, 1000), None), basis, ZYX) == ((1000 * n, 0, 0), None)
+    element = ((0, 1, 0), (0, 0, 1000))
+    assert reduce(element, basis, ZYX) == ((0, 1, 0), (1000 * n, 0, 0))
+    assert reduce(element, basis, ZYX) == reduce_by_scan(element, basis, ZYX)
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_buchberger_widens_fields_for_large_exponents(n):
+    p = PresentedQuotient(
+        ("x", "y", "z"), (PureDifferenceBinomial((0, 0, 1), (n, 0, 0)),), ((0, 0, 1000),), 1
+    )
+    assert buchberger(p, ZYX) == [((1000 * n, 0, 0), None), ((0, 0, 1), (n, 0, 0))]
+    assert buchberger(p, ZYX) == buchberger_by_scan(p, ZYX)
+
+
+@st.composite
+def engine_inputs(draw):
+    """A random presentation with 2-5 variables and 1-3 pure-difference
+    binomials (all homogeneous, or not), optional monomials and Frobenius
+    powers, and a lex or grevlex order with a random variable order."""
+    nvars = draw(st.integers(2, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    homogeneous = draw(st.booleans())
+    binomials = []
+    for _ in range(draw(st.integers(1, 3))):
+        if homogeneous:
+            degree = draw(st.integers(1, 3))
+            same = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+                    if sum(m) == degree]
+            plus = draw(st.sampled_from(same))
+            minus = draw(st.sampled_from([m for m in same if m != plus]))
+        else:
+            plus = draw(exponents)
+            minus = draw(exponents.filter(lambda m: m != plus))
+        binomials.append(PureDifferenceBinomial(plus, minus))
+    monomials = tuple(draw(st.lists(exponents, max_size=2)))
+    q = draw(st.none() | st.integers(1, 6))
+    powers = () if q is None else tuple(
+        tuple(q if j == i else 0 for j in range(nvars)) for i in range(nvars))
+    permutation = draw(st.none() | st.permutations(range(nvars)).map(tuple))
+    order = MonomialOrderSpec(draw(st.sampled_from(["lex", "grevlex"])), permutation)
+    p = PresentedQuotient(tuple("xyzwt"[:nvars]), tuple(binomials), monomials, 1)
+    return p, order, powers
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_inputs(), st.data())
+def test_packed_engine_matches_scan_reference(case, data):
+    """The packed engine returns the scan-based engine's basis element for
+    element, in order, with and without powers (the path krull_dimension
+    takes), and reduces against a plain list the same way."""
+    p, order, powers = case
+    assert buchberger(p, order, powers) == buchberger_by_scan(p, order, powers)
+    assert buchberger(p, order) == buchberger_by_scan(p, order)
+    nvars = len(p.variables)
+    exponents = st.tuples(*[st.integers(0, 6)] * nvars)
+    u, v = data.draw(exponents), data.draw(st.none() | exponents)
+    if u != v:
+        if v is not None and order.key(u) < order.key(v):
+            u, v = v, u
+        basis = [(b.plus, b.minus) if order.key(b.plus) > order.key(b.minus)
+                 else (b.minus, b.plus) for b in p.binomials]
+        basis += [(m, None) for m in p.monomials + powers]
+        assert reduce((u, v), basis, order) == reduce_by_scan((u, v), basis, order)
+
+
+# The engine rings of the benchmark's engine-ladder, each with the q of its
+# ladder: bases of up to 98 elements, larger than the random inputs reach.
+LADDERS = [
+    (presets.ENGINE_RINGS["an-hypersurface"](2), (16, 24, 32, 48, 64, 96)),
+    (presets.ENGINE_RINGS["an-hypersurface"](3), (8, 12, 16, 32, 64, 128)),
+    (presets.ENGINE_RINGS["an-extrees"](3), (4, 6, 8, 16, 24, 48)),
+    (presets.ENGINE_RINGS["ci-extrees"](2, 3), (3, 4, 6, 12, 16, 24)),
+    ("vars: x y u v\nbin: x^2*v - y^3*u\ndim: 3\n", (3, 4, 6, 8, 12, 16)),
+]
+
+
+@pytest.mark.parametrize("text, qs", LADDERS, ids=[
+    "an-hypersurface-2", "an-hypersurface-3", "an-extrees-3", "ci-extrees-2-3", "rees-x2-y3"])
+@pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+def test_packed_engine_matches_scan_reference_on_ladders(text, qs, order):
+    p, _ = parse_presentation(text)
+    nvars = len(p.variables)
+    for q in qs:
+        powers = tuple(tuple(q if j == i else 0 for j in range(nvars)) for i in range(nvars))
+        assert buchberger(p, order, powers) == buchberger_by_scan(p, order, powers)
 
 
 def test_buchberger_coprime_leads_unchanged():
