@@ -106,41 +106,57 @@ def _poly_shift_power(shift: int, exp: int) -> list[int]:
     return [binomial(exp, a) * shift ** (exp - a) for a in range(exp + 1)]
 
 
-def _integral_unit_interval(p1: list[int], p2: list[int]) -> Fraction:
-    """Exact integral over [0, 1] of the product of two integer polynomials."""
-    prod = [0] * (len(p1) + len(p2) - 1)
-    for a, ca in enumerate(p1):
-        for b, cb in enumerate(p2):
-            prod[a + b] += ca * cb
-    return sum(
-        (Fraction(cm, m + 1) for m, cm in enumerate(prod)), start=Fraction(0)
-    )
-
-
 def bcp_segre_ehk(p: SegreParams) -> Fraction:
     """e_HK of the Segre product via the published integral formula,
-    evaluated with exact rational polynomial integration.
+    evaluated exactly by integrating polynomials in integers.
 
     The printed formula, read with i and k ranging independently over
     [0, j) for each j in (0, c], reproduces the Segre product with one
     MORE variable in each factor, so the parameters are shifted down by
     one here.  With that shift it equals segre_ehk at every
     1 <= c <= d <= 12.
+
+    In it, C(c+d, c) times
+
+        (c+1)^(c+d+1) / (c+d+1)!  -  sum over j, i < j, k < j of
+        (-1)^(i+k) C(d+1, j-i) C(c+1, j-k) J(i, k) / (c+d)!,
+
+    the integral J(i, k) of (u+i)^d (u+k)^c over [0, 1] does not depend
+    on j.  It is sum_m p_m / (m+1) over the coefficients p_m of a
+    polynomial of degree c+d with integer coefficients, so
+    N = (c+d+1)! is a common denominator and N J(i, k) is an integer.
+    Swapping the sums, each (i, k) with i, k < c meets the j with
+    max(i, k) < j <= c, and its weight is
+    W(i, k) = sum of C(d+1, j-i) C(c+1, j-k) over those j.  Since
+    C(c+d, c) = (c+d)! / (c! d!), the value is
+
+        ((c+1)^(c+d+1) (c+d)!  -  sum (-1)^(i+k) W(i, k) N J(i, k))
+        / (c! d! N),
+
+    a sum of integers with one division at the end.
     """
     c, d = max(p.c, p.d) - 1, min(p.c, p.d) - 1
-    total = Fraction((c + 1) ** (c + d + 1), factorial(c + d + 1))
-    for j in range(1, c + 1):
-        for i in range(j):
-            for k in range(j):
-                total -= (
-                    Fraction((-1) ** (i + k), factorial(c + d))
-                    * binomial(d + 1, j - i)
-                    * binomial(c + 1, j - k)
-                    * _integral_unit_interval(
-                        _poly_shift_power(i, d), _poly_shift_power(k, c)
-                    )
-                )
-    return total * binomial(c + d, c)
+    n = factorial(c + d + 1)
+    scale = [n // (m + 1) for m in range(c + d + 1)]
+    poly_k = [_poly_shift_power(k, c) for k in range(c)]
+    total = 0
+    for i in range(c):
+        poly_i = _poly_shift_power(i, d)
+        for k in range(c):
+            weight = sum(
+                binomial(d + 1, j - i) * binomial(c + 1, j - k)
+                for j in range(max(i, k) + 1, c + 1)
+            )
+            scaled = sum(
+                ca * cb * scale[a + b]
+                for a, ca in enumerate(poly_i)
+                for b, cb in enumerate(poly_k[k])
+            )
+            total += (-1) ** (i + k) * weight * scaled
+    return Fraction(
+        (c + 1) ** (c + d + 1) * factorial(c + d) - total,
+        factorial(c) * factorial(d) * n,
+    )
 
 
 def lemma38_limit(c: int, d: int) -> Fraction:
@@ -179,6 +195,41 @@ def veronese_rees_ehk(p: VeroneseParams) -> Fraction:
     )
 
 
+def _I_numerator(c: int, d: int, a: int, k: int) -> int:
+    """The integer numerator of I_k(a), the double sum in veronese_I_limits.
+
+    When x = a-l >= d the inner sum runs over all i <= d, so it is a d-th
+    backward difference: of x^d, which is d!, for k = 0; and, writing
+    ad+l+i = a(d+1) - (x-i), of a(d+1) x^d - x^(d+1), which is
+    a(d+1) d! - (d+1)! (x - d/2) = (d+1)! (2l + d)/2, for k = 1.  That
+    holds for every l <= m = min(c-1, a-d).  Since
+    l C(l+d-1, d-1) = d C(l+d-1, d), the hockey stick gives
+
+        sum_{l<=m} alpha(d, l)   = sum_{l<=m} C(l+d-1, d-1) = C(m+d, d),
+        sum_{l<=m} l alpha(d, l) = d sum_{l<=m} C(l+d-1, d)  = d C(m+d, d+1),
+
+    so those l contribute d! C(m+d, d) for k = 0 and
+    (d+1)!/2 (2d C(m+d, d+1) + d C(m+d, d)) for k = 1.  For m < 0 both
+    binomials vanish (m >= -d since a >= 0).  The at most d values
+    m < l <= min(c-1, a) are summed term by term, so the cost is O(d^2)
+    arithmetic operations at any c.
+    """
+    m = min(c - 1, a - d)
+    if k == 0:
+        total = factorial(d) * binomial(m + d, d)
+    else:
+        total = factorial(d + 1) // 2 * d * (
+            2 * binomial(m + d, d + 1) + binomial(m + d, d))
+    for l in range(max(m + 1, 0), min(c - 1, a) + 1):
+        x = a - l
+        total += alpha(d, l) * sum(
+            (-1) ** i * binomial(d, i) * (x - i) ** d
+            * (a * d + l + i if k else 1)
+            for i in range(x + 1)
+        )
+    return total
+
+
 def veronese_I_limits(p: VeroneseParams, a: int, k: int) -> Fraction:
     """The moment limits I_k(a) of the normalized graded dimension counts of
     the Veronese ring modulo bracket powers, k in {0, 1}:
@@ -186,11 +237,8 @@ def veronese_I_limits(p: VeroneseParams, a: int, k: int) -> Fraction:
         sum over l <= min(c-1, a) of alpha(d, l) times the inner sum over
         i <= min(d, a-l) of (-1)^i C(d, i) (a-l-i)^d, times (ad+l+i) if k = 1,
 
-    over c d! (k = 0) or c^2 (d+1)! (k = 1).  When x = a-l >= d the inner sum
-    runs over all i <= d, so it is a d-th backward difference: of x^d, which
-    is d!, for k = 0; and, writing ad+l+i = a(d+1) - (x-i), of
-    a(d+1) x^d - x^(d+1), which is a(d+1) d! - (d+1)! (x - d/2)
-    = (d+1)! (2l + d)/2, for k = 1.  Only l > a-d needs the sum itself.
+    over c d! (k = 0) or c^2 (d+1)! (k = 1).  The numerator is an integer,
+    evaluated in closed form by _I_numerator.
     """
     c, d = p.c, p.d
     if d < 2:
@@ -199,42 +247,33 @@ def veronese_I_limits(p: VeroneseParams, a: int, k: int) -> Fraction:
         raise ParameterError(f"only k in {{0, 1}} supported, got k={k}")
     if a < 0:
         raise ParameterError(f"a must be >= 0, got {a}")
-    fd, fd1 = factorial(d), factorial(d + 1)
-    total = 0
-    al = 1  # alpha(d, l), by the ratio recurrence
-    for l in range(min(c - 1, a) + 1):
-        x = a - l
-        if x >= d:
-            inner = fd if k == 0 else fd1 * (2 * l + d) // 2
-        else:
-            inner = sum(
-                (-1) ** i * binomial(d, i) * (x - i) ** d
-                * (a * d + l + i if k else 1)
-                for i in range(x + 1)
-            )
-        total += al * inner
-        al = al * (l + d) // (l + 1)
-    if k == 0:
-        return Fraction(total, c * fd)
-    return Fraction(total, c * c * fd1)
+    den = c * factorial(d) if k == 0 else c * c * factorial(d + 1)
+    return Fraction(_I_numerator(c, d, a, k), den)
 
 
 def veronese_rees_ehk_general(p: VeroneseParams) -> Fraction:
     """e_HK of the Veronese Rees algebra without the c >= d restriction,
     assembled as e(A)*2^(d+1)/(d+1)! + I_1(inf) - 2*I_0(2c) + I_1(2c).
 
-    The moments come from their finite-sum evaluations; I_1(inf) is
-    I_1(a) at any a >= c + d, past which the summand support is exhausted.
+    I_1(inf) is I_1(a) at any a >= c + d, past which the summand support
+    is exhausted.  With e(A) = c^(d-1) and S_k(a) the integer numerator of
+    I_k(a), over c d! for k = 0 and c^2 (d+1)! for k = 1, all four terms
+    share the denominator c^2 (d+1)!:
+
+        ((2c)^(d+1) + S_1(a_inf) - 2(d+1) c S_0(2c) + S_1(2c)) / (c^2 (d+1)!),
+
+    one Fraction, whose cost, like that of each S_k, does not grow with c.
     """
     c, d = p.c, p.d
     if d < 2:
         raise ParameterError(f"general formula requires d >= 2, got d={d}")
     a_inf = max(2 * c, c + d)
-    return (
-        Fraction(c ** (d - 1) * 2 ** (d + 1), factorial(d + 1))
-        + veronese_I_limits(p, a_inf, 1)
-        - 2 * veronese_I_limits(p, 2 * c, 0)
-        + veronese_I_limits(p, 2 * c, 1)
+    return Fraction(
+        (2 * c) ** (d + 1)
+        + _I_numerator(c, d, a_inf, 1)
+        - 2 * (d + 1) * c * _I_numerator(c, d, 2 * c, 0)
+        + _I_numerator(c, d, 2 * c, 1),
+        c * c * factorial(d + 1),
     )
 
 

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkrees import closed_forms as cf
@@ -134,8 +134,9 @@ def test_c_of_d():
 
 
 def test_bcp_formula_matches_stirling_formula():
-    for c in range(1, 5):
-        for d in range(c, 5):
+    # the agreement bcp_segre_ehk's docstring states, over its whole range
+    for c in range(1, 13):
+        for d in range(c, 13):
             assert cf.bcp_segre_ehk(SP(c, d)) == cf.segre_ehk(SP(c, d))
     assert cf.bcp_segre_ehk(SP(1, 1)) == 1
 
@@ -245,6 +246,58 @@ def test_veronese_I_limits_match_defining_sum(c, d, data):
     k = data.draw(st.sampled_from((0, 1)))
     p = VP(c, d)
     assert cf.veronese_I_limits(p, a, k) == defining_I_limits(p, a, k)
+
+
+def test_veronese_I_limits_edge_cases():
+    """Pinned values at the ends of the hockey-stick range
+    m = min(c-1, a-d): m < 0 (a < d), c = 1, and a = c+d-1, the first a
+    at which no l is summed term by term."""
+    pinned = {
+        (5, 4, 0): (0, 0),  # m = -4
+        (5, 4, 2): (Fraction(2, 15), Fraction(16, 375)),  # m = -2
+        (5, 4, 3): (Fraction(27, 40), Fraction(81, 250)),  # m = -1
+        (1, 3, 2): (Fraction(5, 6), Fraction(9, 8)),  # c = 1, m = -1
+        (1, 3, 3): (1, Fraction(3, 2)),  # c = 1, m = 0
+        (1, 3, 7): (1, Fraction(3, 2)),  # c = 1, a past the support
+        (4, 3, 5): (Fraction(55, 12), Fraction(265, 64)),  # one l = c-1 left
+        (4, 3, 6): (5, Fraction(75, 16)),  # a = c+d-1
+        (2, 5, 6): (3, 5),  # a = c+d-1
+        (3, 6, 8): (Fraction(28, 3), Fraction(44, 3)),  # a = c+d-1
+    }
+    for (c, d, a), values in pinned.items():
+        p = VP(c, d)
+        for k, value in enumerate(values):
+            assert cf.veronese_I_limits(p, a, k) == value, (c, d, a, k)
+            assert defining_I_limits(p, a, k) == value, (c, d, a, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(2, 6))
+@example(1, 6)
+@example(3, 5)
+@example(5, 6)
+def test_veronese_rees_general_matches_defining_assembly(c, d):
+    """The one-Fraction numerator equals the assembly
+    e(A) 2^(d+1)/(d+1)! + I_1(a_inf) - 2 I_0(2c) + I_1(2c) of defining sums,
+    c < d included."""
+    p = VP(c, d)
+    assembled = (
+        Fraction(c ** (d - 1) * 2 ** (d + 1), factorial(d + 1))
+        + defining_I_limits(p, max(2 * c, c + d), 1)
+        - 2 * defining_I_limits(p, 2 * c, 0)
+        + defining_I_limits(p, 2 * c, 1)
+    )
+    assert cf.veronese_rees_ehk_general(p) == assembled
+
+
+def test_veronese_rees_general_huge_c():
+    """The general formula's cost does not grow with c: at c = 10^12 it
+    still matches the c >= d closed form."""
+    for c in (10**6, 10**12):
+        for d in range(2, 7):
+            assert cf.veronese_rees_ehk_general(VP(c, d)) == cf.veronese_rees_ehk(
+                VP(c, d)
+            ), (c, d)
 
 
 def test_veronese_rees_general_large_c():
