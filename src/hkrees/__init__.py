@@ -1,7 +1,8 @@
 """Exact Hilbert-Kunz multiplicities for Rees-type ring families.
 
-Closed forms live in `closed_forms`, the characteristic-free Buchberger
-engine in `engine`, direct lattice counters in `lattice`, extrapolation in
+Closed forms live in `closed_forms`, presented quotient rings and their
+text format in `presentation`, the characteristic-free Buchberger engine
+in `engine`, direct lattice counters in `lattice`, extrapolation in
 `estimator`, named families in `presets`, and invariant suites in `checks`.
 """
 

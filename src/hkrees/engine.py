@@ -5,7 +5,8 @@ This class of generating sets is closed under S-pairs and reduction: every
 intermediate element is again a monomial or a pure difference, so no field
 arithmetic is needed and every computed colength is independent of the
 characteristic.  Frobenius colengths are obtained as standard-monomial
-counts of the initial ideal.
+counts of the initial ideal.  The presented rings it takes, and their
+text format, are in `presentation`.
 """
 
 from __future__ import annotations
@@ -13,70 +14,20 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from operator import lshift
-from dataclasses import dataclass
+from bisect import bisect_right
+from operator import itemgetter, lshift
 
 from .errors import ClosureError, DimensionError, ParameterError
-from .exact import parse_int
+# PureDifferenceBinomial and the parsers are imported for callers that
+# reach them through this module.
+from .presentation import (Monomial, MonomialOrderSpec, PresentedQuotient,  # noqa: F401
+                           PureDifferenceBinomial, parse_monomial, parse_presentation)
 
-Monomial = tuple[int, ...]
 # An element is (lead, tail): tail is None for a monomial, otherwise the
 # smaller monomial of a pure difference lead - tail.
 Element = tuple[Monomial, Monomial | None]
 
-
-@dataclass(frozen=True)
-class MonomialOrderSpec:
-    """A lex or graded-reverse-lex order; permutation[0] is the largest variable."""
-
-    kind: str = "lex"
-    permutation: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex"):
-            raise ParameterError(f"unknown order kind {self.kind!r}")
-        if self.permutation is not None:
-            if sorted(self.permutation) != list(range(len(self.permutation))):
-                raise ParameterError(f"not a permutation: {self.permutation}")
-
-    def key(self, m: Monomial):
-        if self.permutation is not None:
-            m = tuple(map(m.__getitem__, self.permutation))
-        if self.kind == "lex":
-            return m
-        return (sum(m), tuple(map(operator.neg, reversed(m))))
-
-
 _LEX = MonomialOrderSpec("lex")
-
-
-@dataclass(frozen=True)
-class PureDifferenceBinomial:
-    plus: Monomial
-    minus: Monomial
-
-    def __post_init__(self):
-        if self.plus == self.minus:
-            raise ParameterError("binomial with equal terms is zero")
-        if len(self.plus) != len(self.minus):
-            raise ParameterError("mismatched variable counts")
-
-
-@dataclass(frozen=True)
-class PresentedQuotient:
-    """A graded quotient ring: variables, pure-difference binomial relations,
-    monomial relations, and its declared Krull dimension."""
-
-    variables: tuple[str, ...]
-    binomials: tuple[PureDifferenceBinomial, ...] = ()
-    monomials: tuple[Monomial, ...] = ()
-    dimension: int = 1
-
-    def __post_init__(self):
-        if len(self.variables) < 1:
-            raise ParameterError("need at least one variable")
-        if self.dimension < 1:
-            raise ParameterError("dimension must be >= 1")
 
 
 def _sub(a: Monomial, b: Monomial) -> Monomial:
@@ -346,48 +297,84 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
     """Number of monomials outside the monomial ideal given by `gens`.
 
     Requires a pure power of every variable among the generators (so the
-    count is finite).  Splits on one variable at a time: the generators
+    count is finite).  Fewer than three variables are padded in front
+    with variables whose first power is in the ideal, which leaves the
+    count unchanged.  Splits on one variable at a time: the generators
     that can still divide a point change only at their own exponents in
     that variable, so each slab between consecutive exponents is counted
-    once and multiplied by its width; the last two variables are a
-    staircase area.
+    once and multiplied by its width.
+
+    The third-to-last variable is swept instead: its generators are
+    inserted in the order of their exponent there, into one staircase of
+    the last two exponents.  The staircase keeps its corners as two
+    lists, x ascending and y strictly descending, and the number of
+    points under it (its area).  It starts as the box of the last two
+    pure powers, and its corners stay the minimal generators inserted so
+    far, so each slab adds its width times the current area.  Inserting
+    (a, b) takes one bisection, one step per corner it removes (each
+    corner is inserted once) and one list splice.  So a sweep over n
+    generators takes O(n log n) steps beside the splices' memory moves,
+    where a fresh staircase per slab took O(n^2 log n).
     """
     if not gens:
         raise DimensionError("empty generating set has infinite colength")
     nvars = len(gens[0])
     bounds = [None] * nvars
     for g in gens:
-        support = [i for i, e in enumerate(g) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or g[i] < bounds[i]:
-                bounds[i] = g[i]
+        if g.count(0) == nvars - 1:  # a pure power
+            e = max(g)
+            i = g.index(e)
+            if bounds[i] is None or e < bounds[i]:
+                bounds[i] = e
     missing = [i for i, b in enumerate(bounds) if b is None]
     if missing:
         raise DimensionError(
             f"no pure-power generator for variable index(es) {missing}; "
             "quotient is not Artinian"
         )
+    if nvars < 3:
+        pad = 3 - nvars
+        gens = [(0,) * pad + tuple(g) for g in gens]
+        gens += [(0,) * i + (1,) + (0,) * (2 - i) for i in range(pad)]
+        bounds = [1] * pad + bounds
+        nvars = 3
+    width, height = bounds[-2:]
+    last_three = itemgetter(slice(nvars - 3, None))
 
     def count(idx: int, active: list[Monomial]) -> int:
         # `active` holds the generators that divide the chosen point in the
         # variables before idx.  The pure powers of the remaining variables
         # are always among them, so it is never empty.
-        if idx == nvars - 1:
-            return min(g[idx] for g in active)
-        if idx == nvars - 2:
-            area, prev, height = 0, 0, bounds[idx + 1]
-            for a, b in sorted((g[idx], g[idx + 1]) for g in active):
-                area += (a - prev) * height
-                prev = a
-                if b < height:
-                    height = b
-                    if not height:
-                        break
-            return area
+        if idx == nvars - 3:
+            xs, ys, area = [0, width], [height, 0], width * height
+            total = lo = 0
+            for c, a, b in sorted(map(last_three, active)):
+                if c > lo:
+                    total += (c - lo) * area
+                    lo = c
+                i = bisect_right(xs, a) - 1  # the height at a is ys[i]
+                if ys[i] <= b:
+                    continue  # a corner divides (a, b)
+                # cut the area above b, from a to where the height drops to b
+                j = i + 1
+                area -= (xs[j] - a) * (ys[i] - b)
+                while ys[j] > b:
+                    area -= (xs[j + 1] - xs[j]) * (ys[j] - b)
+                    j += 1
+                # (a, b) replaces the corners it divides: i's when xs[i] == a,
+                # those between, and j's when ys[j] == b
+                if xs[i] < a:
+                    i += 1
+                if ys[j] == b:
+                    j += 1
+                xs[i:j] = (a,)
+                ys[i:j] = (b,)
+                if not area:
+                    break  # the pure power of x_idx: every later slab is empty
+            return total
         # Slabs run from one exponent of x_idx among the generators to the
         # next; the pure power of x_idx ends the last one.
-        active = sorted(active, key=lambda g: g[idx])
+        active = sorted(active, key=itemgetter(idx))
         total, k = 0, 0
         while True:
             lo = active[k][idx]
@@ -397,7 +384,7 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
                 k += 1
             total += (active[k][idx] - lo) * count(idx + 1, active[:k])
 
-    return count(0, list(gens))
+    return count(0, gens)
 
 
 def frobenius_colength(p: PresentedQuotient, q: int,
@@ -412,106 +399,3 @@ def frobenius_colength(p: PresentedQuotient, q: int,
     powers = tuple((0,) * i + (q,) + (0,) * (nvars - 1 - i) for i in range(nvars))
     gb = buchberger(p, order, extra_monomials=powers)
     return count_standard_monomials(initial_ideal(gb))
-
-
-# ---------------------------------------------------------------------------
-# Presentation text format
-
-
-def parse_monomial(text: str, variables: list[str]) -> Monomial:
-    """Parse `x^2*y` style monomial text against a variable list."""
-    text = text.strip()
-    expo = [0] * len(variables)
-    for factor in text.replace(" ", "").split("*"):
-        if not factor:
-            raise ParameterError(f"empty factor in monomial {text!r}")
-        name, caret, power = factor.partition("^")
-        try:
-            e = parse_int(power) if caret else 1
-        except ValueError:
-            raise ParameterError(f"bad exponent {power!r} in {text!r}") from None
-        if name not in variables:
-            raise ParameterError(f"unknown variable {name!r} in {text!r}")
-        if e < 0:
-            raise ParameterError(f"negative exponent in {text!r}")
-        expo[variables.index(name)] += e
-    return tuple(expo)
-
-
-def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec | None]:
-    """Parse the line-oriented presentation format:
-
-        vars: x y z w t
-        bin: x^2*y - z^3
-        mono: x^4
-        dim: 3
-        order: lex x>y>z>w>t
-
-    `vars:`, `dim:` and `order:` may each appear once, in any line; every
-    integer follows `exact.parse_int`.
-    """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            tag, _, rest = line.partition(":")
-            lines.append((tag.strip(), rest.strip()))
-    # the other lines name the variables, so vars: is read first
-    declared = [rest for tag, rest in lines if tag == "vars"]
-    if len(declared) > 1:
-        raise ParameterError("repeated vars: line")
-    variables = declared[0].split() if declared else []
-    if not variables:
-        raise ParameterError("presentation has no vars: line")
-    for i, name in enumerate(variables):
-        if name in variables[:i]:
-            raise ParameterError(f"repeated variable {name!r} in vars: line")
-    binomials: list[PureDifferenceBinomial] = []
-    monomials: list[Monomial] = []
-    dimension = None
-    order = None
-    once: set[str] = set()
-    for tag, rest in lines:
-        if tag in ("dim", "order"):
-            if tag in once:
-                raise ParameterError(f"repeated {tag}: line")
-            once.add(tag)
-        if tag == "vars":
-            continue
-        elif tag == "bin":
-            parts = rest.split("-")
-            if len(parts) != 2:
-                raise ParameterError(
-                    f"binomial must be a pure difference of two monomials: {rest!r}"
-                )
-            binomials.append(
-                PureDifferenceBinomial(
-                    parse_monomial(parts[0], variables),
-                    parse_monomial(parts[1], variables),
-                )
-            )
-        elif tag == "mono":
-            monomials.append(parse_monomial(rest, variables))
-        elif tag == "dim":
-            try:
-                dimension = parse_int(rest)
-            except ValueError:
-                raise ParameterError(f"bad dim: value {rest!r}") from None
-        elif tag == "order":
-            kind, _, chain = rest.partition(" ")
-            perm = None
-            if chain.strip():
-                names = [v.strip() for v in chain.split(">")]
-                if sorted(names) != sorted(variables):
-                    raise ParameterError(f"order chain {chain!r} does not match vars")
-                perm = tuple(variables.index(v) for v in names)
-            order = MonomialOrderSpec(kind, perm)
-        else:
-            raise ParameterError(f"unknown line tag {tag!r}")
-    if dimension is None:
-        raise ParameterError("presentation has no dim: line")
-    pq = PresentedQuotient(
-        tuple(variables), tuple(binomials), tuple(monomials), dimension
-    )
-    return pq, order
-

@@ -9,7 +9,11 @@ package computes another way, so the two routes check each other:
   limits `hkrees.closed_forms.veronese_I_limits` evaluates as finite sums;
 - `buchberger_by_scan` and `reduce_by_scan`: the Buchberger engine with
   exponent tuples compared entry by entry and its own monomial order keys,
-  against the packed divisibility tests of `hkrees.engine`.
+  against the packed divisibility tests of `hkrees.engine`;
+- `count_standard_monomials_by_slabs`: standard monomials counted slab by
+  slab, with a fresh staircase for every slab of the third-to-last
+  variable, against the single staircase sweep of
+  `hkrees.engine.count_standard_monomials`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from hkrees.closed_forms import VeroneseParams, alpha
 from hkrees.engine import _add, _check_closure, _lcm, _sub
-from hkrees.errors import ParameterError
+from hkrees.errors import DimensionError, ParameterError
 from hkrees.exact import binomial, factorial
 
 
@@ -160,3 +164,61 @@ def buchberger_by_scan(p, order, extra_monomials=()):
             minimal.append(e)
     return [e if e[1] is None else reduce_by_scan(e, minimal[:i] + minimal[i + 1:], order)
             for i, e in enumerate(minimal)]
+
+
+def count_standard_monomials_by_slabs(gens):
+    """Number of monomials outside the monomial ideal given by `gens`.
+
+    Requires a pure power of every variable among the generators (so the
+    count is finite).  Splits on one variable at a time: the generators
+    that can still divide a point change only at their own exponents in
+    that variable, so each slab between consecutive exponents is counted
+    once and multiplied by its width; the last two variables are a
+    staircase area.
+    """
+    if not gens:
+        raise DimensionError("empty generating set has infinite colength")
+    nvars = len(gens[0])
+    bounds = [None] * nvars
+    for g in gens:
+        support = [i for i, e in enumerate(g) if e > 0]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or g[i] < bounds[i]:
+                bounds[i] = g[i]
+    missing = [i for i, b in enumerate(bounds) if b is None]
+    if missing:
+        raise DimensionError(
+            f"no pure-power generator for variable index(es) {missing}; "
+            "quotient is not Artinian"
+        )
+
+    def count(idx: int, active: list[Monomial]) -> int:
+        # `active` holds the generators that divide the chosen point in the
+        # variables before idx.  The pure powers of the remaining variables
+        # are always among them, so it is never empty.
+        if idx == nvars - 1:
+            return min(g[idx] for g in active)
+        if idx == nvars - 2:
+            area, prev, height = 0, 0, bounds[idx + 1]
+            for a, b in sorted((g[idx], g[idx + 1]) for g in active):
+                area += (a - prev) * height
+                prev = a
+                if b < height:
+                    height = b
+                    if not height:
+                        break
+            return area
+        # Slabs run from one exponent of x_idx among the generators to the
+        # next; the pure power of x_idx ends the last one.
+        active = sorted(active, key=lambda g: g[idx])
+        total, k = 0, 0
+        while True:
+            lo = active[k][idx]
+            while active[k][idx] == lo:
+                if not any(active[k][idx + 1:]):
+                    return total  # x_idx^lo already divides every extension
+                k += 1
+            total += (active[k][idx] - lo) * count(idx + 1, active[:k])
+
+    return count(0, list(gens))

@@ -22,7 +22,11 @@ from hkrees.engine import (
     reduce,
 )
 from hkrees.errors import DimensionError, ParameterError
-from reference_routes import buchberger_by_scan, reduce_by_scan
+from reference_routes import (
+    buchberger_by_scan,
+    count_standard_monomials_by_slabs,
+    reduce_by_scan,
+)
 
 LEX = MonomialOrderSpec("lex")
 GREVLEX = MonomialOrderSpec("grevlex")
@@ -177,11 +181,16 @@ LADDERS = [
     "an-hypersurface-2", "an-hypersurface-3", "an-extrees-3", "ci-extrees-2-3", "rees-x2-y3"])
 @pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
 def test_packed_engine_matches_scan_reference_on_ladders(text, qs, order):
+    """The basis, and the count of its initial ideal, match the reference
+    routes at every ring and q of the ladder."""
     p, _ = parse_presentation(text)
     nvars = len(p.variables)
     for q in qs:
         powers = tuple(tuple(q if j == i else 0 for j in range(nvars)) for i in range(nvars))
-        assert buchberger(p, order, powers) == buchberger_by_scan(p, order, powers)
+        gb = buchberger(p, order, powers)
+        assert gb == buchberger_by_scan(p, order, powers)
+        gens = initial_ideal(gb)
+        assert count_standard_monomials(gens) == count_standard_monomials_by_slabs(gens)
 
 
 def test_buchberger_coprime_leads_unchanged():
@@ -244,15 +253,23 @@ def test_count_standard_monomials_against_brute_force():
 
 @st.composite
 def artinian_monomial_ideals(draw):
-    """Generators of a random Artinian monomial ideal in 2-5 variables: a
-    pure power of every variable plus a few mixed monomials."""
-    nvars = draw(st.integers(2, 5))
+    """Generators of a random Artinian monomial ideal in 1-5 variables: a
+    pure power of every variable, a few larger pure powers and mixed
+    monomials, then multiples of drawn generators (which those divide)
+    and exact repeats."""
+    nvars = draw(st.integers(1, 5))
     gens = [
         tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(nvars))
         for i in range(nvars)
     ]
+    for i in draw(st.lists(st.integers(0, nvars - 1), max_size=2)):
+        gens.append(tuple(draw(st.integers(gens[i][i] + 1, 5)) if j == i else 0
+                          for j in range(nvars)))
     mixed = st.tuples(*[st.integers(0, 4)] * nvars).filter(any)
     gens += draw(st.lists(mixed, max_size=6))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+        gens.append(tuple(e + draw(st.integers(0, 1)) for e in g))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
     return draw(st.permutations(gens))
 
 
@@ -260,6 +277,43 @@ def artinian_monomial_ideals(draw):
 @given(artinian_monomial_ideals())
 def test_count_standard_monomials_property(gens):
     assert count_standard_monomials(gens) == brute_force_standard_count(gens)
+
+
+def test_count_insertion_that_removes_several_corners():
+    # At x^0 the staircase of (y, z) has corners (0,6) (2,4) (3,3) (4,2)
+    # (6,0), area 23.  x*y*z removes the three middle corners and cuts
+    # the area to 11, which the slab 1 <= x < 5 takes four times.
+    gens = [(5, 0, 0), (0, 6, 0), (0, 0, 6), (0, 2, 4), (0, 3, 3), (0, 4, 2), (1, 1, 1)]
+    assert count_standard_monomials(gens) == 23 + 4 * 11 == brute_force_standard_count(gens)
+
+
+def test_count_insertion_on_an_existing_corner_x():
+    # At x^0 the corners are (0,6) (2,4) (4,2) (6,0), area 24.  x*y^2*z^3
+    # lands on y = 2 and replaces the corner (2,4) there: area 22.
+    gens = [(5, 0, 0), (0, 6, 0), (0, 0, 6), (0, 2, 4), (0, 4, 2), (1, 2, 3)]
+    assert count_standard_monomials(gens) == 24 + 4 * 22 == brute_force_standard_count(gens)
+
+
+@st.composite
+def large_artinian_monomial_ideals(draw):
+    """Generators of a random Artinian monomial ideal in 3-6 variables,
+    up to 60 of them, with exponents up to 40: beyond brute force.  The
+    mixed generators stay within the pure powers, so that most of them
+    enter the staircases."""
+    nvars = draw(st.integers(3, 6))
+    powers = draw(st.lists(st.integers(1, 40), min_size=nvars, max_size=nvars))
+    gens = [tuple(e if j == i else 0 for j in range(nvars)) for i, e in enumerate(powers)]
+    # a drawn size: left to itself, st.lists rarely draws long lists
+    size = draw(st.integers(0, 60 - nvars))
+    mixed = st.tuples(*[st.integers(0, e) for e in powers]).filter(any)
+    gens += draw(st.lists(mixed, min_size=size, max_size=size))
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_artinian_monomial_ideals())
+def test_count_standard_monomials_matches_slab_reference(gens):
+    assert count_standard_monomials(gens) == count_standard_monomials_by_slabs(gens)
 
 
 @settings(max_examples=20, deadline=None)
