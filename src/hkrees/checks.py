@@ -151,36 +151,28 @@ def suite_prop57() -> list[CheckResult]:
             "Veronese semigroups satisfy the equality criterion",
         ))
     for n in range(2, 6):
-        s = lattice.semigroup_double_point(n)
+        s = lattice.semigroup_binomial_an(n + 1)
         out.append(_cmp(
             f"prop57/criterion-an-n{n}",
             not lattice.equality_criterion(s),
             "criterion", "false",
             "double-point semigroups fail the criterion for n >= 2",
         ))
-
-    def brackets(s):
-        return [estimate([p.sample(q) for q in (12, 24, 48)], p.dimension).bracket
-                for p in (presets.semigroup(s), presets.semigroup_extrees(s))]
-
-    b, e = brackets(lattice.semigroup_veronese(2))
-    overlap = b[0] <= e[1] and e[0] <= b[1]
-    out.append(_cmp(
-        "prop57/brackets-overlap-veronese2",
-        overlap,
-        f"[{format_fraction(b[0])}, {format_fraction(b[1])}]",
-        f"[{format_fraction(e[0])}, {format_fraction(e[1])}]",
-        "criterion-true case: base and extended-Rees brackets overlap",
-    ))
-    b, e = brackets(lattice.semigroup_double_point(2))
-    disjoint = b[1] < e[0] or e[1] < b[0]
-    out.append(_cmp(
-        "prop57/brackets-disjoint-a2",
-        disjoint,
-        f"[{format_fraction(b[0])}, {format_fraction(b[1])}]",
-        f"[{format_fraction(e[0])}, {format_fraction(e[1])}]",
-        "criterion-false case: base and extended-Rees brackets disjoint",
-    ))
+    for name, s, overlap, note in (
+        ("overlap-veronese2", lattice.semigroup_veronese(2), True,
+         "criterion-true case: base and extended-Rees brackets overlap"),
+        ("disjoint-a2", lattice.semigroup_binomial_an(3), False,
+         "criterion-false case: base and extended-Rees brackets disjoint"),
+    ):
+        b, e = (estimate([p.sample(q) for q in (12, 24, 48)], p.dimension).bracket
+                for p in (presets.semigroup(s), presets.semigroup_extrees(s)))
+        out.append(_cmp(
+            f"prop57/brackets-{name}",
+            (b[0] <= e[1] and e[0] <= b[1]) == overlap,
+            f"[{format_fraction(b[0])}, {format_fraction(b[1])}]",
+            f"[{format_fraction(e[0])}, {format_fraction(e[1])}]",
+            note,
+        ))
     return out
 
 

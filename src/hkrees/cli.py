@@ -121,6 +121,9 @@ def _grid_values(args) -> list[int]:
         p = parse_int(args.grid.partition(":")[2])
         if p < 2:
             raise ParameterError(f"prime base must be >= 2, got {p}")
+        for e in values:
+            if e < 0:
+                raise ParameterError(f"prime-power exponent must be >= 0, got {e}")
         return [p**e for e in values]
     raise ParameterError(f"unknown grid {args.grid!r}")
 

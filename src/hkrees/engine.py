@@ -297,12 +297,12 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
     """Number of monomials outside the monomial ideal given by `gens`.
 
     Requires a pure power of every variable among the generators (so the
-    count is finite).  Fewer than three variables are padded in front
-    with variables whose first power is in the ideal, which leaves the
-    count unchanged.  Splits on one variable at a time: the generators
-    that can still divide a point change only at their own exponents in
-    that variable, so each slab between consecutive exponents is counted
-    once and multiplied by its width.
+    count is finite), or the monomial 1, which gives 0.  Fewer than three
+    variables are padded in front with variables whose first power is in
+    the ideal, which leaves the count unchanged.  Splits on one variable
+    at a time: the generators that can still divide a point change only at
+    their own exponents in that variable, so each slab between consecutive
+    exponents is counted once and multiplied by its width.
 
     The third-to-last variable is swept instead: its generators are
     inserted in the order of their exponent there, into one staircase of
@@ -328,6 +328,8 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
                 bounds[i] = e
     missing = [i for i, b in enumerate(bounds) if b is None]
     if missing:
+        if any(not any(g) for g in gens):
+            return 0  # the unit ideal: the zero ring has no monomials
         raise DimensionError(
             f"no pure-power generator for variable index(es) {missing}; "
             "quotient is not Artinian"

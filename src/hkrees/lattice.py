@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, ParameterError, RankError
-from .exact import parse_int
+from .exact import binomial, parse_int
 
 # ---------------------------------------------------------------------------
 # Monomial counts in d variables
@@ -308,12 +308,6 @@ def _delta_counts(q: int, m: int) -> list[tuple[int, int]]:
     return [(s, q * (m - 1) - plus), (s + 1, plus)]
 
 
-def _simplex(k: int, d: int) -> int:
-    """Sum of max(0, k - i_1 - ... - i_(d-1)) over i_1, ..., i_(d-1) >= 0,
-    which is C(k + d - 1, d) for k >= 0 and 0 below."""
-    return math.comb(max(k, 0) + d - 1, d)
-
-
 def _strip(q: int, m: int, n: int) -> int:
     """Sum of max(0, q - 1 - floor((a-q)/m) - floor(b/n)) over a >= qm and
     0 <= b < q.
@@ -324,15 +318,18 @@ def _strip(q: int, m: int, n: int) -> int:
     rho = q mod n values at w = v.  With i = u - (q - ceil(q/m)) and
     k = ceil(q/m) - 1 the term is max(0, k - i - w), so the sum is the full
     m n weight over w < v, plus m rho at w = v, less d n and d rho at i = 0.
+    Each weight, the sum of max(0, j - i_1 - ... - i_(e-1)) over
+    i_1, ..., i_(e-1) >= 0, is `exact.binomial(j + e - 1, e)`, which is 0
+    for j <= 0.
     """
     k = -(-q // m) - 1
     d = -q % m
     v, rho = divmod(q, n)
     return (
-        m * n * (_simplex(k, 3) - _simplex(k - v, 3))
-        + m * rho * _simplex(k - v, 2)
-        - d * n * (_simplex(k, 2) - _simplex(k - v, 2))
-        - d * rho * _simplex(k - v, 1)
+        m * n * (binomial(k + 2, 3) - binomial(k - v + 2, 3))
+        + m * rho * binomial(k - v + 1, 2)
+        - d * n * (binomial(k + 1, 2) - binomial(k - v + 1, 2))
+        - d * rho * binomial(k - v, 1)
     )
 
 
@@ -557,17 +554,11 @@ def semigroup_veronese(c: int) -> Semigroup2D:
 
 
 def semigroup_binomial_an(n: int) -> Semigroup2D:
-    """Semigroup of k[s^n, st, t^n] = k[x,y,z]/(xy - z^n); requires n >= 2."""
+    """Semigroup of k[s^n, st, t^n] = k[x,y,z]/(xy - z^n), the rational
+    double point of type A_(n-1); requires n >= 2."""
     if n < 2:
         raise ParameterError(f"binomial A-type semigroup needs n >= 2, got {n}")
     return Semigroup2D(((0, n), (1, 1), (n, 0)))
-
-
-def semigroup_double_point(n: int) -> Semigroup2D:
-    """Rational double point of type A_n: k[s^{n+1}, st, t^{n+1}]."""
-    if n < 1:
-        raise ParameterError(f"A_n needs n >= 1, got {n}")
-    return semigroup_binomial_an(n + 1)
 
 
 def parse_semigroup(text: str) -> Semigroup2D:

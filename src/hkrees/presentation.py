@@ -97,71 +97,56 @@ def parse_presentation(text: str) -> tuple[PresentedQuotient, MonomialOrderSpec 
         dim: 3
         order: lex x>y>z>w>t
 
-    `vars:`, `dim:` and `order:` may each appear once, in any line; every
-    integer follows `exact.parse_int`.
+    Lines may come in any order; `vars:`, `dim:` and `order:` may each
+    appear once, and every integer follows `exact.parse_int`.  A file with
+    several faults reports the first in this order: an unknown tag; a
+    repeated `vars:`, `dim:` or `order:` line, in that order; an empty
+    `vars:` line or a repeated variable; a bad `bin:` line, then a bad
+    `mono:` line, each in file order; a missing or bad `dim:` line; a bad
+    `order:` line; and last a `dim:` below 1.
     """
-    lines = []
+    lines = {tag: [] for tag in ("vars", "bin", "mono", "dim", "order")}
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
-            tag, _, rest = line.partition(":")
-            lines.append((tag.strip(), rest.strip()))
-    # the other lines name the variables, so vars: is read first
-    declared = [rest for tag, rest in lines if tag == "vars"]
-    if len(declared) > 1:
-        raise ParameterError("repeated vars: line")
-    variables = declared[0].split() if declared else []
+            tag, _, rest = (part.strip() for part in line.partition(":"))
+            if tag not in lines:
+                raise ParameterError(f"unknown line tag {tag!r}")
+            lines[tag].append(rest)
+    for tag in ("vars", "dim", "order"):
+        if len(lines[tag]) > 1:
+            raise ParameterError(f"repeated {tag}: line")
+    variables = " ".join(lines["vars"]).split()
     if not variables:
         raise ParameterError("presentation has no vars: line")
     for i, name in enumerate(variables):
         if name in variables[:i]:
             raise ParameterError(f"repeated variable {name!r} in vars: line")
-    binomials: list[PureDifferenceBinomial] = []
-    monomials: list[Monomial] = []
-    dimension = None
-    order = None
-    once: set[str] = set()
-    for tag, rest in lines:
-        if tag in ("dim", "order"):
-            if tag in once:
-                raise ParameterError(f"repeated {tag}: line")
-            once.add(tag)
-        if tag == "vars":
-            continue
-        elif tag == "bin":
-            parts = rest.split("-")
-            if len(parts) != 2:
-                raise ParameterError(
-                    f"binomial must be a pure difference of two monomials: {rest!r}"
-                )
-            binomials.append(
-                PureDifferenceBinomial(
-                    parse_monomial(parts[0], variables),
-                    parse_monomial(parts[1], variables),
-                )
+    binomials = []
+    for rest in lines["bin"]:
+        parts = rest.split("-")
+        if len(parts) != 2:
+            raise ParameterError(
+                f"binomial must be a pure difference of two monomials: {rest!r}"
             )
-        elif tag == "mono":
-            monomials.append(parse_monomial(rest, variables))
-        elif tag == "dim":
-            try:
-                dimension = parse_int(rest)
-            except ValueError:
-                raise ParameterError(f"bad dim: value {rest!r}") from None
-        elif tag == "order":
-            kind, _, chain = rest.partition(" ")
-            perm = None
-            if chain.strip():
-                names = [v.strip() for v in chain.split(">")]
-                if sorted(names) != sorted(variables):
-                    raise ParameterError(f"order chain {chain!r} does not match vars")
-                perm = tuple(variables.index(v) for v in names)
-            order = MonomialOrderSpec(kind, perm)
-        else:
-            raise ParameterError(f"unknown line tag {tag!r}")
-    if dimension is None:
+        binomials.append(PureDifferenceBinomial(
+            *(parse_monomial(part, variables) for part in parts)))
+    monomials = [parse_monomial(rest, variables) for rest in lines["mono"]]
+    if not lines["dim"]:
         raise ParameterError("presentation has no dim: line")
-    pq = PresentedQuotient(
-        tuple(variables), tuple(binomials), tuple(monomials), dimension
-    )
-    return pq, order
-
+    try:
+        dimension = parse_int(lines["dim"][0])
+    except ValueError:
+        raise ParameterError(f"bad dim: value {lines['dim'][0]!r}") from None
+    order = None
+    for rest in lines["order"]:
+        kind, _, chain = rest.partition(" ")
+        perm = None
+        if chain.strip():
+            names = [v.strip() for v in chain.split(">")]
+            if sorted(names) != sorted(variables):
+                raise ParameterError(f"order chain {chain!r} does not match vars")
+            perm = tuple(variables.index(v) for v in names)
+        order = MonomialOrderSpec(kind, perm)
+    return PresentedQuotient(tuple(variables), tuple(binomials),
+                             tuple(monomials), dimension), order

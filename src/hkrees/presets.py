@@ -133,11 +133,9 @@ def ci_rees(m: int, n: int) -> Preset:
 def ci_extrees(m: int, n: int,
                order: engine.MonomialOrderSpec | None = None) -> Preset:
     """Extended Rees algebra of (x^m, y^n), via the Buchberger engine."""
-    if m < 1 or n < 1:
-        raise ParameterError(f"exponents must be >= 1, got ({m}, {n})")
+    target = cf.ci_rees_values(m, n).ehk_extrees  # rejects m, n < 1
     return _engine_preset(f"ci-extrees m={m} n={n}",
-                          ci_extrees_presentation(m, n), order,
-                          cf.ci_rees_values(m, n).ehk_extrees)
+                          ci_extrees_presentation(m, n), order, target)
 
 
 def _generators(s: lattice.Semigroup2D) -> str:

@@ -190,10 +190,17 @@ LATE = [
      "--q", "2,4,8"],
 ]
 
+# A negative exponent on a prime-power grid; appended after LATE.
+NEGATIVE_EXPONENT = [
+    ["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid", "primepow:3",
+     "--q=-1,2"],
+]
+
 
 def cases() -> list[list[str]]:
     suites = [["check", "--suite", s, *j] for s in SUITES for j in ([], ["--json"])]
-    return _formula_cases() + _oracle_cases() + suites + ERRORS + LATE
+    return (_formula_cases() + _oracle_cases() + suites + ERRORS + LATE
+            + NEGATIVE_EXPONENT)
 
 
 def choice_lists() -> dict[str, list[str]]:

@@ -345,7 +345,7 @@ def test_acceptance_7_criterion():
     for n in range(2, 6):
         check(
             failures,
-            not lattice.equality_criterion(lattice.semigroup_double_point(n)),
+            not lattice.equality_criterion(lattice.semigroup_binomial_an(n + 1)),
             f"criterion should fail on A_{n}",
         )
 
@@ -370,7 +370,7 @@ def test_acceptance_7_criterion():
         b[0] <= e[1] and e[0] <= b[1],
         f"true case: brackets {b} and {e} should overlap",
     )
-    b, e = brackets(lattice.semigroup_double_point(2))
+    b, e = brackets(lattice.semigroup_binomial_an(3))
     check(
         failures,
         b[1] < e[0] or e[1] < b[0],

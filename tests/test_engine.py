@@ -231,6 +231,14 @@ def test_count_standard_monomials_boxes():
         count_standard_monomials([])
 
 
+def test_unit_ideal_has_colength_zero():
+    # a generator with every exponent 0 is the monomial 1: the zero ring
+    assert count_standard_monomials([(0, 0)]) == 0
+    assert count_standard_monomials([(1, 1, 0), (0, 0, 0)]) == 0
+    p, _ = parse_presentation("vars: x y\nmono: x^0\ndim: 1\n")
+    assert frobenius_colength(p, 2) == 0
+
+
 def brute_force_standard_count(gens):
     bounds = [max(g[i] for g in gens) for i in range(len(gens[0]))]
     count = 0
@@ -546,3 +554,27 @@ def test_parse_monomial_and_presentation():
         parse_presentation("vars: x y")
     with pytest.raises(ParameterError, match="repeated variable 'y'"):
         parse_presentation("vars: x y y\nbin: x - y\ndim: 1")
+
+
+# Files with two faults report the first in the order of parse_presentation's
+# docstring, wherever their lines stand in the file.
+@pytest.mark.parametrize("text, err", [
+    ("vars: x y\ndim: 1\ndim: 2\nfoo: x\n", "unknown line tag 'foo'"),
+    ("vars: x y\nbin: x^ - y\nvars: x y\ndim: 1\n", "repeated vars: line"),
+    ("order: lex\norder: grevlex\ndim: 1\ndim: 2\nvars: x\n",
+     "repeated dim: line"),
+    ("bin: x - z\nvars: x x\ndim: 1\n", "repeated variable 'x' in vars: line"),
+    ("vars: x y\nmono: z\nbin: x - y - x\ndim: 1\n",
+     "binomial must be a pure difference of two monomials: 'x - y - x'"),
+    ("vars: x y\ndim: one\nmono: z\n", "unknown variable 'z' in 'z'"),
+    ("vars: x y\norder: lex y>z\ndim: one\n", "bad dim: value 'one'"),
+    ("vars: x y\norder: lex y>z\n", "presentation has no dim: line"),
+    ("dim: 0\nvars: x\norder: deglex\n", "unknown order kind 'deglex'"),
+], ids=["unknown-tag-then-repeated-dim", "repeated-vars-then-bad-bin",
+        "repeated-dim-then-repeated-order", "repeated-variable-then-bad-bin",
+        "bin-then-mono", "mono-then-dim", "dim-then-order",
+        "missing-dim-then-order", "order-then-dim-below-1"])
+def test_parse_presentation_fault_order(text, err):
+    with pytest.raises(ParameterError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == err

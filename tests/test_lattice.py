@@ -29,7 +29,6 @@ from hkrees.lattice import (
     rees_monomial_colength,
     segre_colength,
     semigroup_binomial_an,
-    semigroup_double_point,
     semigroup_ehk_colength,
     semigroup_extrees_colength,
     semigroup_veronese,
@@ -658,14 +657,13 @@ def test_equality_criterion():
     for c in range(2, 6):
         assert equality_criterion(semigroup_veronese(c))
     for n in range(2, 6):
-        assert not equality_criterion(semigroup_double_point(n))
-    assert equality_criterion(semigroup_double_point(1))
+        assert not equality_criterion(semigroup_binomial_an(n + 1))
+    assert equality_criterion(semigroup_binomial_an(2))
     assert equality_criterion(Semigroup2D(((0, 5), (3, 0))))
 
 
 def test_named_semigroups():
     assert semigroup_binomial_an(3).generators == ((0, 3), (1, 1), (3, 0))
-    assert semigroup_double_point(2).generators == ((0, 3), (1, 1), (3, 0))
     assert semigroup_veronese(3).generators == ((0, 3), (1, 2), (2, 1), (3, 0))
     with pytest.raises(ParameterError):
         semigroup_binomial_an(1)
