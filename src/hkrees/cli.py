@@ -26,12 +26,28 @@ from .estimator import estimate, normalized_sequence
 from .exact import format_fraction, parse_int, stirling2
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        print(f"error: missing required argument(s): {flags}", file=sys.stderr)
+def _take_flags(args, label: str, flags, families):
+    """Exit 2 when a flag that one of `families` takes, but `flags` do not,
+    is given, then when one of `flags` other than "order" is missing."""
+    every = dict.fromkeys(f for fs in families for f in fs)
+    foreign = [f for f in every if f not in flags and getattr(args, f) is not None]
+    if foreign:
+        print(f"error: {label} does not take "
+              + ", ".join(f"--{f}" for f in foreign), file=sys.stderr)
         raise SystemExit(2)
+    missing = [f for f in flags if f != "order" and getattr(args, f) is None]
+    if missing:
+        print("error: missing required argument(s): "
+              + ", ".join(f"--{f}" for f in missing), file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _cache(cache_dir: str) -> ColengthCache:
+    """The cache in `cache_dir`, which must be named: an empty name would
+    mean the working directory."""
+    if not cache_dir:
+        raise ParameterError("--cache-dir must not be empty")
+    return ColengthCache(os.path.join(cache_dir, "colengths.jsonl"))
 
 
 def _int_list(text: str) -> list[int]:
@@ -65,7 +81,8 @@ FORMULAS = {
 
 def cmd_formula(args) -> int:
     flags, value_of = FORMULAS[args.family]
-    _require(args, flags)
+    _take_flags(args, f"formula {args.family}", flags,
+                (fs for fs, _ in FORMULAS.values()))
     value = value_of(*(getattr(args, f) for f in flags))
     if isinstance(value, cf.CiReesValues):
         doc = {k: format_fraction(x) for k, x in vars(value).items()}
@@ -92,13 +109,7 @@ def cmd_formula(args) -> int:
 
 def _build_preset(args) -> presets.Preset:
     flags = presets.FAMILIES[args.preset]
-    every = dict.fromkeys(f for fs in presets.FAMILIES.values() for f in fs)
-    foreign = [f for f in every if f not in flags and getattr(args, f) is not None]
-    if foreign:
-        print(f"error: --preset {args.preset} does not take "
-              + ", ".join(f"--{f}" for f in foreign), file=sys.stderr)
-        raise SystemExit(2)
-    _require(args, [f for f in flags if f != "order"])
+    _take_flags(args, f"--preset {args.preset}", flags, presets.FAMILIES.values())
     order = None if args.order is None else engine.MonomialOrderSpec(args.order)
     if flags[0] == "file":
         with open(args.file, encoding="utf-8") as fh:
@@ -114,7 +125,7 @@ def _build_preset(args) -> presets.Preset:
 
 
 def _grid_values(args) -> list[int]:
-    values = _int_list(args.q) if args.q else [8, 16, 32]
+    values = [8, 16, 32] if args.q is None else _int_list(args.q)
     if args.grid == "pow2" or args.grid is None:
         return values
     if args.grid.startswith("primepow:"):
@@ -130,9 +141,9 @@ def _grid_values(args) -> list[int]:
 
 def cmd_oracle(args) -> int:
     preset = _build_preset(args)
-    if args.cache_dir:
-        cache = ColengthCache(os.path.join(args.cache_dir, "colengths.jsonl"))
-        preset = dataclasses.replace(preset, counter=cached_counter(preset, cache))
+    if args.cache_dir is not None:
+        preset = dataclasses.replace(
+            preset, counter=cached_counter(preset, _cache(args.cache_dir)))
     samples = [preset.sample(q) for q in sorted(set(_grid_values(args)))]
     est = estimate(samples, preset.dimension)
     doc = est.to_dict()
@@ -171,7 +182,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    cache = ColengthCache(os.path.join(args.cache_dir, "colengths.jsonl"))
+    cache = _cache(args.cache_dir)
     if args.action == "inspect":
         entries = cache.entries()
         if args.json:

@@ -109,16 +109,6 @@ class _PackedBasis(list):
         self.leads.append(sum(map(lshift, lead, self.shifts)))
         self.tails.append(0 if tail is None else sum(map(lshift, tail, self.shifts)))
 
-    def select(self, indices: list[int]) -> _PackedBasis:
-        """The elements at `indices`, in that order, with the same packing."""
-        chosen = _PackedBasis.__new__(_PackedBasis)
-        chosen.extend(map(self.__getitem__, indices))
-        chosen.nvars, chosen.limit = self.nvars, self.limit
-        chosen.shifts, chosen.guard = self.shifts, self.guard
-        chosen.leads = list(map(self.leads.__getitem__, indices))
-        chosen.tails = list(map(self.tails.__getitem__, indices))
-        return chosen
-
 
 def reduce(element: Element, basis: list[Element], order: MonomialOrderSpec) -> Element | None:
     """Full normal form of a monomial or pure-difference element.
@@ -245,8 +235,12 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
 
 def _autoreduce(basis: _PackedBasis, order: MonomialOrderSpec) -> list[Element]:
     """The unique reduced basis, sorted by leading term: one pass keeps the
-    elements whose lead no smaller lead divides, then reduces each tail
-    against the others."""
+    elements whose lead no smaller lead divides, then replaces each tail by
+    its normal form modulo the whole basis.  That normal form is unique,
+    since the basis is a Groebner basis (Cox-Little-O'Shea, ch. 2 par. 6),
+    so the dropped elements change nothing; and no lead equal to the
+    element's own divides a term of the chain, since each lies strictly
+    below it."""
     leads, guard = basis.leads, basis.guard
     keys = [order.key(lead) for lead, _ in basis]
     keep: list[int] = []
@@ -260,11 +254,10 @@ def _autoreduce(basis: _PackedBasis, order: MonomialOrderSpec) -> list[Element]:
         else:
             keep.append(k)
             kept.append(lead)
-    # No lead divides another, so only binomial tails reduce, and a tail
-    # never reduces to its own lead: no element vanishes or changes lead.
-    return [basis[k] if basis[k][1] is None
-            else reduce(basis[k], basis.select(keep[:i] + keep[i + 1:]), order)
-            for i, k in enumerate(keep)]
+    # No lead divides another, so no element vanishes or changes lead.  A
+    # tail whose normal form is zero (None) leaves its lead a monomial.
+    return [(lead, tail and (reduce((tail, None), basis, order) or (None,))[0])
+            for lead, tail in map(basis.__getitem__, keep)]
 
 
 def initial_ideal(gb: list[Element]) -> list[Monomial]:

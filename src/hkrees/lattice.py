@@ -458,8 +458,12 @@ class _PackedBox:
 
     def __init__(self, s: Semigroup2D, q: int):
         self.width, self.height = _box(s, q)
-        self.nbytes = (self.height + s.b + 8) // 8  # ceil((H + 1 + b) / 8)
-        self.stride = 8 * self.nbytes
+        nbytes = (self.height + s.b + 8) // 8  # ceil((H + 1 + b) / 8)
+        self.stride = 8 * nbytes
+        # a repunit with bit 0 of each column set: unit * (2^(top+1) - 1)
+        # fills the rows 0..top of every column
+        column = (1).to_bytes(nbytes, "little")
+        self.unit = int.from_bytes(column * (self.width + 1), "little")
         self.shifts = [ga * self.stride + gb for ga, gb in s.generators]
         self.box = self._rows(self.height)
         members = 1
@@ -475,8 +479,7 @@ class _PackedBox:
 
     def _rows(self, top: int) -> int:
         """The rows 0..top of every column of the box."""
-        column = ((1 << (top + 1)) - 1).to_bytes(self.nbytes, "little")
-        return int.from_bytes(column * (self.width + 1), "little")
+        return (self.unit << top + 1) - self.unit
 
     def translate(self, bits: int, a: int, b: int) -> int:
         """bits + (a, b), cut to the box.  When H + b reaches the stride,

@@ -196,11 +196,26 @@ NEGATIVE_EXPONENT = [
      "--q=-1,2"],
 ]
 
+# Flags that a formula family does not take (exit 2), and empty --q and
+# --cache-dir values (exit 3); appended after NEGATIVE_EXPONENT.
+FOREIGN_AND_EMPTY = [
+    ["formula", "segre", "--c", "2", "--d", "3", "--n", "9"],
+    ["formula", "conca", "--ds", "1,1", "--es", "2", "--c", "4"],
+    ["formula", "stirling-table", "--n", "3", "--m", "1", "--es", "2", "--json"],
+    ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--n", "3", "--q", "2,4"],
+    ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", ""],
+    ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", ","],
+    ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "2,4",
+     "--cache-dir", ""],
+    ["cache", "inspect", "--cache-dir", ""],
+    ["cache", "clear", "--cache-dir", ""],
+]
+
 
 def cases() -> list[list[str]]:
     suites = [["check", "--suite", s, *j] for s in SUITES for j in ([], ["--json"])]
     return (_formula_cases() + _oracle_cases() + suites + ERRORS + LATE
-            + NEGATIVE_EXPONENT)
+            + NEGATIVE_EXPONENT + FOREIGN_AND_EMPTY)
 
 
 def choice_lists() -> dict[str, list[str]]:

@@ -586,6 +586,39 @@ def test_cache_command(capsys, tmp_path):
     assert "0 entries" in out
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["cache", "inspect", "--cache-dir", ""],
+    ["cache", "clear", "--cache-dir", ""],
+    ["oracle", "--preset", "an-hypersurface", "--n", "2", "--q", "2,4",
+     "--cache-dir", ""],
+], ids=["inspect", "clear", "oracle"])
+def test_empty_cache_dir_is_rejected(capsys, tmp_path, monkeypatch, argv):
+    """An empty --cache-dir exits 3 and neither reads nor clears the cache
+    file of the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "colengths.jsonl").write_text("kept\n")
+    assert run_cli(capsys, *argv) == (3, "", "error: --cache-dir must not be empty\n")
+    assert (tmp_path / "colengths.jsonl").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["segre", "--c", "2", "--d", "3", "--n", "9"],
+     "error: formula segre does not take --n\n"),
+    (["conca", "--ds", "1,1", "--es", "2", "--c", "4"],
+     "error: formula conca does not take --c\n"),
+    (["ci-rees", "--n", "2", "--d", "1"],
+     "error: formula ci-rees does not take --d\n"),
+], ids=["segre", "conca", "foreign-before-missing"])
+def test_formula_rejects_flags_its_family_does_not_take(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(["formula", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == err
+
+
 AN2_HASH = _key("an-hypersurface n=2")
 
 

@@ -1,13 +1,14 @@
 """Tests for the Buchberger engine."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkrees import lattice, presets
+from hkrees import engine, lattice, presets
 from hkrees.engine import (
     MonomialOrderSpec,
     PresentedQuotient,
@@ -373,6 +374,35 @@ def test_buchberger_output_is_reduced_and_order_free(binomials, q, order):
     assert is_reduced(gb)
     assert gb == sorted(gb, key=lambda e: order.key(e[0]))
     assert frobenius_colength(p, q, LEX) == frobenius_colength(p, q, GREVLEX)
+
+
+@pytest.mark.parametrize("text, gb", [
+    # y^3 -> yz by y^2 - z, then to zero by y: the lead x is left a monomial
+    ("vars: x y z\nbin: y^2 - z\nbin: x - y^3\nmono: y\ndim: 1\n",
+     [((0, 0, 1), None), ((0, 1, 0), None), ((1, 0, 0), None)]),
+    # y^3 -> yz by y^2 - z, then to z^4 by y - z^3
+    ("vars: x y z\nbin: y^2 - z\nbin: x - y^3\nbin: y - z^3\ndim: 1\n",
+     [((0, 0, 6), (0, 0, 1)), ((0, 1, 0), (0, 0, 3)), ((1, 0, 0), (0, 0, 4))]),
+], ids=["tail-to-zero", "tail-to-z4"])
+def test_tail_first_divided_by_a_dropped_element(monkeypatch, text, gb):
+    """The first divisor of the kept tail y^3 in the basis that Buchberger
+    built is y^2 - z, which the minimal-lead pass drops (y divides y^2).
+    Reducing against the whole basis still gives the reduced basis."""
+    p, _ = parse_presentation(text)
+    built = []
+    autoreduce = engine._autoreduce
+
+    def keep_basis(basis, order):
+        built.extend(basis)
+        return autoreduce(basis, order)
+
+    monkeypatch.setattr(engine, "_autoreduce", keep_basis)
+    assert buchberger(p, LEX) == gb == buchberger_by_scan(p, LEX)
+    assert is_reduced(gb)
+    leads = {lead for lead, _ in gb}
+    first = next(e for e in built if all(map(operator.le, e[0], (0, 3, 0))))
+    assert ((1, 0, 0), (0, 3, 0)) in built
+    assert first == ((0, 2, 0), (0, 0, 1)) and first[0] not in leads
 
 
 def test_krull_dimension_of_relations():

@@ -553,9 +553,12 @@ def test_semigroup_ehk_veronese_exact():
     (((0, 5), (2, 1), (3, 0)), 500, 2749900),
     (((0, 2), (1, 1), (2, 0)), 500, 375000),
     (((0, 3), (1, 2), (2, 1), (3, 0)), 500, 500000),
+    (((0, 3), (1, 2), (2, 1), (3, 0)), 240, 115200),
 ])
 def test_semigroup_ehk_pinned_large_q(gens, q, value):
-    """Values recorded with the earlier column-by-column counter."""
+    """Values recorded with earlier counters; the degree-3 Veronese rows are
+    2 q^2.  At these q many translates first clear the rows above H - b
+    with a row mask; the hypothesis test above stops at q = 8."""
     assert semigroup_ehk_colength(Semigroup2D(gens), q) == value
 
 
