@@ -2,7 +2,8 @@
 
 Closed forms live in `closed_forms`, presented quotient rings and their
 text format in `presentation`, the characteristic-free Buchberger engine
-in `engine`, direct lattice counters in `lattice`, extrapolation in
+in `engine`, direct lattice counters in `lattice`, the Ehrhart
+quasi-polynomials of normal semigroups in `toric`, extrapolation in
 `estimator`, named families in `presets`, and invariant suites in `checks`.
 """
 

@@ -10,7 +10,11 @@ semigroup rings and their extended Rees algebras.
 The Segre and Veronese Rees colengths are polynomials in q from q = 1 on,
 so those two counters sum their alpha tables only at the first few q and
 evaluate the polynomial there, and the (x^m, y^n) count is summed in
-closed form; the cost of these three does not grow with q.
+closed form; the cost of these three does not grow with q.  For a normal
+semigroup both semigroup colengths are polynomials in q on each residue
+class of q mod a proven period (see `toric`), so those counters run the
+box only at the first few q of the class; a non-normal semigroup runs the
+box at q.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError, ParameterError, RankError
+from . import toric
+from .errors import DimensionError, ParameterError
 from .exact import binomial, parse_int
 
 # ---------------------------------------------------------------------------
@@ -48,24 +53,6 @@ def _alpha_tables(d: int, top: int, q: int) -> tuple[list[int], list[int]]:
 # Segre products
 
 
-def _polynomial_in_q(table_sum, degree: int, q: int) -> int:
-    """table_sum(q) for a table_sum that agrees with a polynomial of the
-    given degree at every q >= 1.
-
-    Inside the node range q <= degree + 1 this is table_sum(q) itself.
-    Past it, Newton's forward-difference formula through the nodes
-    1..degree+1 gives sum over k of C(q-1, k) * Delta^k f(1), in integers.
-    """
-    if q <= degree + 1:
-        return table_sum(q)
-    diffs = [table_sum(node) for node in range(1, degree + 2)]
-    total = 0
-    for k in range(degree + 1):
-        total += math.comb(q - 1, k) * diffs[0]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return total
-
-
 def _segre_sum(c: int, d: int, q: int) -> int:
     """The Segre colength as a sum over the alpha tables."""
     top = max(c, d) * (q - 1)
@@ -82,20 +69,20 @@ def segre_colength(c: int, d: int, q: int) -> int:
 
     The colength is the sum over m of alpha(c, m) alpha_q(d, m, q) +
     alpha_q(c, m, q) alpha(d, m) - alpha_q(c, m, q) alpha_q(d, m, q), a
-    polynomial in q of degree c + d - 1 for every q >= 1; `_polynomial_in_q`
-    evaluates it from its values at q = 1..c+d.  Proof: the summand
-    vanishes for m > max(c, d)(q - 1), so the sum runs over the blocks
-    jq <= m < (j+1)q with j < max(c, d), a number of blocks that does not
-    depend on q.  On block j, alpha_q(d, m, q) = sum over i <= j of
-    (-1)^i C(d, i) C(m - iq + d - 1, d - 1), since the terms with i > j
-    have m - iq < 0; so with m = jq + r the summand is a polynomial in
-    (r, q), and Faulhaber's formula makes its sum over 0 <= r < q a
-    polynomial in q.  Its degree is at most c + d - 1, the dimension of the
-    ring, because the colength is O(q^(c+d-1)).
+    polynomial in q of degree c + d - 1 for every q >= 1;
+    `toric.polynomial_in_q` evaluates it from its values at q = 1..c+d.
+    Proof: the summand vanishes for m > max(c, d)(q - 1), so the sum runs
+    over the blocks jq <= m < (j+1)q with j < max(c, d), a number of
+    blocks that does not depend on q.  On block j, alpha_q(d, m, q) = sum
+    over i <= j of (-1)^i C(d, i) C(m - iq + d - 1, d - 1), since the
+    terms with i > j have m - iq < 0; so with m = jq + r the summand is a
+    polynomial in (r, q), and Faulhaber's formula makes its sum over
+    0 <= r < q a polynomial in q.  Its degree is at most c + d - 1, the
+    dimension of the ring, because the colength is O(q^(c+d-1)).
     """
     if c < 1 or d < 1 or q < 1:
         raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
-    return _polynomial_in_q(lambda k: _segre_sum(c, d, k), c + d - 1, q)
+    return toric.polynomial_in_q(lambda k: _segre_sum(c, d, k), c + d - 1, q)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +136,7 @@ def veronese_rees_colength(c: int, d: int, q: int) -> int:
     n < 2cq - 1 of alpha_cq(2, n) (alpha(d, cn) - beta_n), with
     beta_n = sum over l < c of alpha(d, l) alpha_cq(d, c(n - lq)).  It is a
     polynomial in q of degree d + 1 for every q >= 1, which
-    `_polynomial_in_q` evaluates from its values at q = 1..d+2.  Proof:
+    `toric.polynomial_in_q` evaluates from its values at q = 1..d+2.  Proof:
     beta_n vanishes for n >= (c+d-1)q and alpha_cq(2, 2cq - 1) = 0, so both
     sums run over the blocks jq <= n < (j+1)q with j < max(c+d-1, 2c), a
     number of blocks that does not depend on q.  On block j, with
@@ -164,7 +151,9 @@ def veronese_rees_colength(c: int, d: int, q: int) -> int:
     """
     if c < 1 or d < 1 or q < 1:
         raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
-    return _polynomial_in_q(lambda k: _veronese_rees_sum(c, d, k), d + 1, q)
+    return toric.polynomial_in_q(
+        lambda k: _veronese_rees_sum(c, d, k), d + 1, q
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +373,8 @@ def ci_rees_colength(m: int, n: int, q: int) -> int:
 @dataclass(frozen=True)
 class Semigroup2D:
     """Subsemigroup of Z^2 generated by (a_i, b_i), normalized so that
-    a_0 = 0 < a_1 < ... < a_s = a and b_s = 0 < b_{s-1} < ... < b_0 = b."""
+    a_0 = 0 < a_1 < ... < a_s = a and b_s = 0 < b_{s-1} < ... < b_0 = b.
+    Then (0, b) and (a, 0) are generators, so ZS has rank 2."""
 
     generators: tuple[tuple[int, int], ...]
 
@@ -396,8 +386,6 @@ class Semigroup2D:
             raise ParameterError(f"a_i must satisfy 0 = a_0 < ... < a_s: {g}")
         if g[-1][1] != 0 or any(x[1] <= y[1] for x, y in zip(g, g[1:])):
             raise ParameterError(f"b_i must satisfy b_s = 0 < ... < b_0: {g}")
-        if self.index() == 0:
-            raise RankError(f"generators do not span a rank-2 lattice: {g}")
 
     @property
     def a(self) -> int:
@@ -408,14 +396,10 @@ class Semigroup2D:
         return self.generators[0][1]
 
     def index(self) -> int:
-        """|Z^2 / ZS|: gcd of the 2x2 minors of the generator matrix."""
-        g = self.generators
-        minors = [
-            abs(g[i][0] * g[j][1] - g[j][0] * g[i][1])
-            for i in range(len(g))
-            for j in range(i + 1, len(g))
-        ]
-        return math.gcd(*minors) if minors else 0
+        """|Z^2 / ZS| = d e for the basis (d, 0), (t, e) of ZS from
+        `toric.lattice_basis`."""
+        (d, _), (_, e) = toric.lattice_basis(self)
+        return d * e
 
 
 def equality_criterion(s: Semigroup2D) -> bool:
@@ -501,18 +485,43 @@ class _PackedBox:
         return out & self.box
 
 
-def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
-    """Number of semigroup elements outside every translate q*g_i + S:
-    the colength of the q-th bracket power of the maximal ideal."""
+def _normal_in_q(box, s: Semigroup2D, dim: int, q: int) -> int:
+    """box(s, q) for a packed-box counter of k[S] (dim 2) or of R'(m)
+    (dim 3).  For normal S that colength is, at every q >= 1, a polynomial
+    of degree dim on each residue class of q mod `toric.period(s, dim)`
+    (the proof is in `toric`), so `toric.polynomial_in_q` evaluates it
+    from the box at the dim + 1 nodes of q's class; every other S runs the
+    box at q.
+    """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
+    if toric.is_normal(s):
+        period = toric.period(s, dim)
+        return toric.polynomial_in_q(lambda k: box(s, k), dim, q, period)
+    return box(s, q)
+
+
+def _ehk_box(s: Semigroup2D, q: int) -> int:
+    """`semigroup_ehk_colength` counted on the packed box."""
     grid = _PackedBox(s, q)
     return (grid.members & ~grid.phi).bit_count()
 
 
+def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
+    """Number of semigroup elements outside every translate q*g_i + S:
+    the colength of the q-th bracket power of the maximal ideal."""
+    return _normal_in_q(_ehk_box, s, 2, q)
+
+
 def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
     """Colength of the q-th bracket power M^[q] of the homogeneous maximal
-    ideal of the extended Rees algebra R' = sum over n of m^n t^n of k[S].
+    ideal of the extended Rees algebra R' = sum over n of m^n t^n of k[S],
+    counted by `_extrees_box`."""
+    return _normal_in_q(_extrees_box, s, 3, q)
+
+
+def _extrees_box(s: Semigroup2D, q: int) -> int:
+    """`semigroup_extrees_colength` counted on the packed box.
 
     The monomials of R' are (p, n) with p in S and n <= ord(p), and M^[q]
     is generated by (q g_i, 0), (q g_i, q) and (0, -q).  So (p, n) lies
@@ -528,8 +537,6 @@ def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
     the subtracted sum is the count of pairs (p, n) with n >= 0, p in
     Phi_{max(0, n - q)} and p not in L_{n+q}.
     """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
     grid = _PackedBox(s, q)
     total = q * grid.members.bit_count()
     layer, phi = grid.members, grid.phi

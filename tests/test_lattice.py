@@ -17,7 +17,7 @@ from hkrees.engine import (
     frobenius_colength,
     parse_presentation,
 )
-from hkrees import lattice
+from hkrees import lattice, toric
 from hkrees.errors import DimensionError, ParameterError, RankError
 from hkrees.lattice import (
     MonomialIdeal2D,
@@ -554,12 +554,36 @@ def test_semigroup_ehk_veronese_exact():
     (((0, 2), (1, 1), (2, 0)), 500, 375000),
     (((0, 3), (1, 2), (2, 1), (3, 0)), 500, 500000),
     (((0, 3), (1, 2), (2, 1), (3, 0)), 240, 115200),
+    (((0, 3), (1, 1), (3, 0)), 200, 66666),
+    (((0, 4), (1, 1), (4, 0)), 120, 25200),
+    (((0, 5), (1, 2), (3, 1), (5, 0)), 90, 17820),
 ])
 def test_semigroup_ehk_pinned_large_q(gens, q, value):
     """Values recorded with earlier counters; the degree-3 Veronese rows are
     2 q^2.  At these q many translates first clear the rows above H - b
-    with a row mask; the hypothesis test above stops at q = 8."""
-    assert semigroup_ehk_colength(Semigroup2D(gens), q) == value
+    with a row mask; the hypothesis test above stops at q = 8.  The box
+    runs here directly too, because the counter evaluates a normal S from
+    the box at small q only."""
+    s = Semigroup2D(gens)
+    assert semigroup_ehk_colength(s, q) == value
+    assert lattice._ehk_box(s, q) == value
+
+
+@pytest.mark.parametrize("gens, q, value", [
+    (((0, 3), (1, 1), (3, 0)), 48, 188400),
+    (((0, 3), (1, 1), (3, 0)), 96, 1507296),
+    (((0, 3), (1, 1), (3, 0)), 200, 13629474),
+    (((0, 2), (1, 1), (2, 0)), 48, 165888),
+    (((0, 2), (1, 1), (2, 0)), 96, 1327104),
+    (((0, 3), (1, 2), (2, 1), (3, 0)), 48, 221184),
+    (((0, 3), (1, 2), (2, 1), (3, 0)), 96, 1769472),
+    (((0, 4), (1, 1), (4, 0)), 120, 3095920),
+    (((0, 5), (1, 2), (3, 1), (5, 0)), 90, 1627989),
+])
+def test_semigroup_extrees_pinned_large_q(gens, q, value):
+    """Values recorded with the packed box alone, before normal S were
+    evaluated from their quasi-polynomial; every S here is normal."""
+    assert semigroup_extrees_colength(Semigroup2D(gens), q) == value
 
 
 def test_semigroup_ehk_binomial_an_converges():
@@ -680,3 +704,206 @@ def test_parse_semigroup():
                         ("sg: (0,x) (2,0)", "0,x")):
         with pytest.raises(ParameterError, match=f"bad generator '{chunk}'"):
             parse_semigroup(text)
+
+
+# ---------------------------------------------------------------------------
+# Normal semigroups: the counters from their Ehrhart quasi-polynomial
+
+
+def cyclic_quotient(n, k):
+    """The normal semigroup of the cyclic quotient singularity of type
+    (n, k), gcd(n, k) = 1: the points of {x + k y = 0 mod n} in the
+    quadrant.  Its generators, the indecomposable nonzero points, lie in
+    [0, n]^2 with (n, 0) and (0, n)."""
+    pts = {(x, y) for x in range(n + 1) for y in range(n + 1)
+           if (x + k * y) % n == 0} - {(0, 0)}
+    return Semigroup2D(tuple(sorted(
+        p for p in pts
+        if not any((p[0] - g[0], p[1] - g[1]) in pts for g in pts if g != p)
+    )))
+
+
+def cyclic_quotients(top):
+    return [cyclic_quotient(n, k)
+            for n in range(1, top + 1) for k in range(n) if math.gcd(n, k) == 1]
+
+
+def mirror(s):
+    return Semigroup2D(tuple(sorted((b, a) for a, b in s.generators)))
+
+
+BOXES = {2: (semigroup_ehk_colength, "_ehk_box"),
+         3: (semigroup_extrees_colength, "_extrees_box")}
+
+
+# R'(m) over the cyclic quotients with n = 7..9 needs the box near
+# q = 4P + 12 with P up to 63, which takes seconds to tens of seconds.
+NORMAL_SOURCES = {
+    2: st.one_of(st.sampled_from(cyclic_quotients(9)),
+                 semigroups().filter(toric.is_normal)),
+    3: st.one_of(st.sampled_from(cyclic_quotients(6)),
+                 semigroups().filter(toric.is_normal)),
+}
+
+
+@st.composite
+def routed(draw, dim):
+    """A normal S and a q past the last node of its residue class,
+    q = r + kP with k > dim and q <= 4P + 12."""
+    s = draw(NORMAL_SOURCES[dim])
+    period = toric.period(s, dim)
+    r = draw(st.integers(1, min(period, 12)))
+    k = draw(st.integers(dim + 1, (4 * period + 12 - r) // period))
+    return s, r + k * period
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normal_semigroup_route_matches_the_box(dim, data):
+    s, q = data.draw(routed(dim))
+    counter, box = BOXES[dim]
+    assert counter(s, q) == getattr(lattice, box)(s, q)
+
+
+@pytest.mark.parametrize("gens, dim, qs", [
+    (((0, 5), (2, 1), (3, 0)), 2, range(4, 17)),
+    (((0, 3), (1, 1), (4, 0)), 2, range(4, 17)),
+    # P = 30: the first q past the nodes is 121; the other S has P = 60
+    (((0, 5), (2, 1), (3, 0)), 3, [121]),
+])
+def test_non_normal_semigroups_need_the_box(gens, dim, qs):
+    """On a non-normal S the node values do not determine the count, so
+    interpolating through them is wrong; the counters run the box."""
+    s = Semigroup2D(gens)
+    assert not toric.is_normal(s)
+    counter, name = BOXES[dim]
+    box = getattr(lattice, name)
+    period = toric.period(s, dim)
+    wrong = 0
+    for q in qs:
+        assert q > (q - 1) % period + 1 + dim * period
+        value = box(s, q)
+        assert counter(s, q) == value
+        wrong += toric.polynomial_in_q(lambda k: box(s, k), dim, q, period) != value
+    assert wrong
+
+
+@pytest.mark.parametrize("gens, dim, period", [
+    (((0, 2), (1, 1), (2, 0)), 2, 2),
+    (((0, 2), (1, 1), (2, 0)), 3, 2),
+    (((0, 3), (1, 1), (3, 0)), 2, 3),
+    (((0, 3), (1, 1), (3, 0)), 3, 3),
+    (((0, 3), (1, 2), (2, 1), (3, 0)), 2, 3),
+    (((0, 3), (1, 2), (2, 1), (3, 0)), 3, 3),
+])
+def test_period_pinned(gens, dim, period):
+    assert toric.period(Semigroup2D(gens), dim) == period
+
+
+@pytest.mark.parametrize("gens", [
+    ((0, 3), (1, 1), (3, 0)), ((0, 3), (1, 2), (2, 1), (3, 0)),
+])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_large_q_runs_the_box_only_at_the_nodes(monkeypatch, gens, dim):
+    s = Semigroup2D(gens)
+    counter, name = BOXES[dim]
+    nodes = []
+    real = getattr(lattice, name)
+    monkeypatch.setattr(lattice, name, lambda s, q: nodes.append(q) or real(s, q))
+    q = 10**6
+    period = toric.period(s, dim)
+    assert counter(s, q) > 0
+    r = (q - 1) % period + 1
+    assert nodes == [r + j * period for j in range(dim + 1)]
+
+
+def brute_force_normal(s):
+    """Whether every point of ZS in [0, 3a] x [0, 3b] lies in S.  ZS is a
+    union of cosets of aZ x bZ, so a point lies in ZS iff its residue
+    mod (a, b) lies in the subgroup that the generators' residues span."""
+    a, b = s.a, s.b
+    span, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for ga, gb in s.generators:
+            p = ((x + ga) % a, (y + gb) % b)
+            if p not in span:
+                span.add(p)
+                frontier.append(p)
+    members, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        for ga, gb in s.generators:
+            p = (x + ga, y + gb)
+            if p[0] <= 3 * a and p[1] <= 3 * b and p not in members:
+                members.add(p)
+                frontier.append(p)
+    return all((x, y) in members
+               for x in range(3 * a + 1) for y in range(3 * b + 1)
+               if (x % a, y % b) in span)
+
+
+@settings(max_examples=150, deadline=None)
+@given(semigroups(top=7))
+def test_is_normal_matches_brute_force(s):
+    assert toric.is_normal(s) == brute_force_normal(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(semigroups(top=9))
+def test_lattice_basis_spans_zs(s):
+    """Every generator is an integer combination of (d, 0) and (t, e), and
+    d e is the gcd of the 2x2 minors of the generators, the index of ZS:
+    so the two span ZS."""
+    (d, zero), (t, e) = toric.lattice_basis(s)
+    assert zero == 0 and 0 <= t < d and e > 0
+    for x, y in s.generators:
+        assert y % e == 0 and (x - y // e * t) % d == 0
+    g = s.generators
+    minors = [g[i][0] * g[j][1] - g[j][0] * g[i][1]
+              for i in range(len(g)) for j in range(i + 1, len(g))]
+    assert s.index() == d * e == math.gcd(*minors)
+
+
+def leading_coefficient(counter, s, dim, r):
+    """Delta^dim f(r) / (dim! P^dim) along the nodes r + jP of the residue
+    class of r: the leading coefficient of that class's polynomial."""
+    period = toric.period(s, dim)
+    values = [counter(s, r + j * period) for j in range(dim + 1)]
+    return leading_difference(values) / period**dim
+
+
+@pytest.mark.parametrize("s, n, ehk, extrees", [
+    (semigroup_binomial_an(3), 3, Fraction(5, 3), Fraction(46, 27)),
+    (semigroup_binomial_an(4), 4, Fraction(7, 4), Fraction(43, 24)),
+] + [
+    (semigroup_veronese(c), None, Fraction(c + 1, 2), Fraction(c + 1, 2))
+    for c in range(2, 6)
+])
+def test_normal_semigroup_limits_are_exact(s, n, ehk, extrees):
+    """The leading coefficient is the same in every residue class, and it
+    is the closed form: (c + 1)/2 on Veronese-c, and on the double point
+    k[s^n, st, t^n] the values of the hypersurface xy = z^n and of its
+    extended Rees algebra."""
+    if n is not None:
+        assert (ehk, extrees) == (cf.conca_ehk([1, 1], [n]), cf.an_extrees_ehk(n))
+    for dim, want in ((2, ehk), (3, extrees)):
+        counter = BOXES[dim][0]
+        got = {leading_coefficient(counter, s, dim, r)
+               for r in range(1, toric.period(s, dim) + 1)}
+        assert got == {want}, dim
+
+
+def test_equality_criterion_on_normal_cyclic_quotients():
+    """Prop 5.7: e_HK(k[S]) = e_HK(R'(m)) iff the criterion holds, tested
+    exactly on the normal cyclic-quotient semigroups with n <= 8, one of
+    each mirror pair (the criterion and both limits are symmetric)."""
+    seen = {}
+    for s in cyclic_quotients(8):
+        seen.setdefault(min(s.generators, mirror(s).generators), s)
+    assert len(seen) == 19
+    for s in seen.values():
+        ehk = leading_coefficient(semigroup_ehk_colength, s, 2, 1)
+        extrees = leading_coefficient(semigroup_extrees_colength, s, 3, 1)
+        assert (ehk == extrees) == equality_criterion(s), s
