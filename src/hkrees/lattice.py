@@ -14,7 +14,10 @@ closed form; the cost of these three does not grow with q.  For a normal
 semigroup both semigroup colengths are polynomials in q on each residue
 class of q mod a proven period (see `toric`), so those counters run the
 box only at the first few q of the class; a non-normal semigroup runs the
-box at q.
+box at q.  These four counters take an optional node table (see
+`toric.polynomial_in_q`): a preset passes one table to each call of its
+counter, so node values are shared within one preset and never across
+presets.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def _segre_sum(c: int, d: int, q: int) -> int:
     )
 
 
-def segre_colength(c: int, d: int, q: int) -> int:
+def segre_colength(c: int, d: int, q: int, table: dict | None = None) -> int:
     """Colength of the q-th bracket power of the maximal ideal of the Segre
     product of polynomial rings in c and d variables.
 
@@ -82,7 +85,9 @@ def segre_colength(c: int, d: int, q: int) -> int:
     """
     if c < 1 or d < 1 or q < 1:
         raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
-    return toric.polynomial_in_q(lambda k: _segre_sum(c, d, k), c + d - 1, q)
+    return toric.polynomial_in_q(
+        lambda k: _segre_sum(c, d, k), c + d - 1, q, table=table
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +131,8 @@ def _veronese_rees_sum(c: int, d: int, q: int) -> int:
     return total
 
 
-def veronese_rees_colength(c: int, d: int, q: int) -> int:
+def veronese_rees_colength(c: int, d: int, q: int,
+                           table: dict | None = None) -> int:
     """Colength of the cq-th bracket power of the maximal ideal of the Rees
     algebra of the maximal ideal over the degree-c Veronese subring.
 
@@ -152,7 +158,7 @@ def veronese_rees_colength(c: int, d: int, q: int) -> int:
     if c < 1 or d < 1 or q < 1:
         raise ParameterError(f"need c, d, q >= 1, got ({c}, {d}, {q})")
     return toric.polynomial_in_q(
-        lambda k: _veronese_rees_sum(c, d, k), d + 1, q
+        lambda k: _veronese_rees_sum(c, d, k), d + 1, q, table=table
     )
 
 
@@ -485,20 +491,27 @@ class _PackedBox:
         return out & self.box
 
 
-def _normal_in_q(box, s: Semigroup2D, dim: int, q: int) -> int:
+def _normal_in_q(box, s: Semigroup2D, dim: int, q: int,
+                 table: dict | None = None) -> int:
     """box(s, q) for a packed-box counter of k[S] (dim 2) or of R'(m)
     (dim 3).  For normal S that colength is, at every q >= 1, a polynomial
     of degree dim on each residue class of q mod `toric.period(s, dim)`
     (the proof is in `toric`), so `toric.polynomial_in_q` evaluates it
     from the box at the dim + 1 nodes of q's class; every other S runs the
-    box at q.
+    box at q.  The node table also keeps, under "period", that period, or
+    None when S is not normal, so a preset tests S once.
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    if toric.is_normal(s):
-        period = toric.period(s, dim)
-        return toric.polynomial_in_q(lambda k: box(s, k), dim, q, period)
-    return box(s, q)
+    if table is None:
+        table = {}
+    if "period" not in table:
+        table["period"] = toric.period(s, dim) if toric.is_normal(s) else None
+    if table["period"] is None:
+        return box(s, q)
+    return toric.polynomial_in_q(
+        lambda k: box(s, k), dim, q, table["period"], table
+    )
 
 
 def _ehk_box(s: Semigroup2D, q: int) -> int:
@@ -507,17 +520,19 @@ def _ehk_box(s: Semigroup2D, q: int) -> int:
     return (grid.members & ~grid.phi).bit_count()
 
 
-def semigroup_ehk_colength(s: Semigroup2D, q: int) -> int:
+def semigroup_ehk_colength(s: Semigroup2D, q: int,
+                           table: dict | None = None) -> int:
     """Number of semigroup elements outside every translate q*g_i + S:
     the colength of the q-th bracket power of the maximal ideal."""
-    return _normal_in_q(_ehk_box, s, 2, q)
+    return _normal_in_q(_ehk_box, s, 2, q, table)
 
 
-def semigroup_extrees_colength(s: Semigroup2D, q: int) -> int:
+def semigroup_extrees_colength(s: Semigroup2D, q: int,
+                               table: dict | None = None) -> int:
     """Colength of the q-th bracket power M^[q] of the homogeneous maximal
     ideal of the extended Rees algebra R' = sum over n of m^n t^n of k[S],
     counted by `_extrees_box`."""
-    return _normal_in_q(_extrees_box, s, 3, q)
+    return _normal_in_q(_extrees_box, s, 3, q, table)
 
 
 def _extrees_box(s: Semigroup2D, q: int) -> int:

@@ -2,7 +2,9 @@
 dimension used for normalization, and the closed-form target when one is
 known.  Every preset carries a canonical description string used for cache
 keying, so identical computations hit the same cache entries regardless of
-how they were requested.
+how they were requested.  The Segre, Veronese Rees and semigroup presets
+also carry one node table for their counter (see `lattice`), so the q of
+one ladder share their node values; a new preset starts a new table.
 """
 
 from __future__ import annotations
@@ -91,10 +93,11 @@ def an_extrees(n: int,
 
 def segre(c: int, d: int) -> Preset:
     """Segre product of polynomial rings in c and d variables."""
+    table: dict = {}
     return Preset(
         description=f"segre c={c} d={d}",
         dimension=c + d - 1,
-        counter=lambda q: lattice.segre_colength(c, d, q),
+        counter=lambda q: lattice.segre_colength(c, d, q, table),
         target=cf.segre_ehk(cf.SegreParams(c, d)),
     )
 
@@ -108,10 +111,11 @@ def veronese_rees(c: int, d: int) -> Preset:
         target = cf.veronese_rees_ehk_general(cf.VeroneseParams(c, d))
     elif d == 1 and c >= 1:
         target = Fraction(1)
+    table: dict = {}
     return Preset(
         description=f"veronese-rees c={c} d={d}",
         dimension=d + 1,
-        counter=lambda q: lattice.veronese_rees_colength(c, d, q),
+        counter=lambda q: lattice.veronese_rees_colength(c, d, q, table),
         target=target,
         q_scale=c,
     )
@@ -144,19 +148,21 @@ def _generators(s: lattice.Semigroup2D) -> str:
 
 def semigroup(s: lattice.Semigroup2D) -> Preset:
     """Affine semigroup ring k[S] for a rank-2 semigroup."""
+    table: dict = {}
     return Preset(
         description=f"semigroup {_generators(s)}",
         dimension=2,
-        counter=lambda q: lattice.semigroup_ehk_colength(s, q),
+        counter=lambda q: lattice.semigroup_ehk_colength(s, q, table),
     )
 
 
 def semigroup_extrees(s: lattice.Semigroup2D) -> Preset:
     """Extended Rees algebra of the maximal ideal of k[S]."""
+    table: dict = {}
     return Preset(
         description=f"semigroup-extrees {_generators(s)}",
         dimension=3,
-        counter=lambda q: lattice.semigroup_extrees_colength(s, q),
+        counter=lambda q: lattice.semigroup_extrees_colength(s, q, table),
     )
 
 

@@ -56,7 +56,8 @@ import itertools
 import math
 
 
-def polynomial_in_q(table_sum, degree: int, q: int, period: int = 1) -> int:
+def polynomial_in_q(table_sum, degree: int, q: int, period: int = 1,
+                    table: dict | None = None) -> int:
     """table_sum(q) for a table_sum that agrees with a polynomial of the
     given degree on each residue class of q mod period, at every q >= 1.
 
@@ -65,11 +66,25 @@ def polynomial_in_q(table_sum, degree: int, q: int, period: int = 1) -> int:
     them: this is table_sum(q) itself.  Past them, Newton's
     forward-difference formula along the class gives sum over j of
     C(k, j) Delta^j f(r + 1), in integers.
+
+    `table` maps node q to table_sum(q): each node is read from it before
+    it is computed, and stored once computed.  A preset passes one table
+    to every call of its counter, so a ladder of q sums each node once;
+    a table holds one counter's values for one ring, so node values are
+    shared within one preset and never across presets.
     """
+    if table is None:
+        table = {}
+
+    def node(n: int) -> int:
+        if n not in table:
+            table[n] = table_sum(n)
+        return table[n]
+
     k, r = divmod(q - 1, period)
     if k <= degree:
-        return table_sum(q)
-    diffs = [table_sum(r + 1 + j * period) for j in range(degree + 1)]
+        return node(q)
+    diffs = [node(r + 1 + j * period) for j in range(degree + 1)]
     total = 0
     for j in range(degree + 1):
         total += math.comb(k, j) * diffs[0]

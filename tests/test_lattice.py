@@ -818,6 +818,114 @@ def test_large_q_runs_the_box_only_at_the_nodes(monkeypatch, gens, dim):
     assert nodes == [r + j * period for j in range(dim + 1)]
 
 
+# ---------------------------------------------------------------------------
+# One node table per preset
+
+
+NOT_NORMAL = Semigroup2D(((0, 5), (2, 1), (3, 0)))
+
+
+@st.composite
+def ladders(draw, period, degree):
+    """A shuffled ladder of q <= 4P + 12: a node of one residue class r, a
+    q of that class past its nodes, and up to three more q, of that class
+    or of any."""
+    r = draw(st.integers(1, min(period, 12)))
+    last = (4 * period + 12 - r) // period
+    ladder = [r + draw(st.integers(0, degree)) * period,
+              r + draw(st.integers(degree + 1, last)) * period]
+    same = st.integers(0, last).map(lambda k: r + k * period)
+    ladder += draw(st.lists(st.one_of(same, st.integers(1, 4 * period + 12)),
+                            max_size=3))
+    return draw(st.permutations(ladder))
+
+
+def shared_and_fresh(family, params, ladder):
+    """The counts of one preset asked the whole ladder in turn, and of a
+    fresh preset for each q."""
+    build = getattr(presets, family)
+    shared = build(*params)
+    return ([shared.counter(q) for q in ladder],
+            [build(*params).counter(q) for q in ladder])
+
+
+@pytest.mark.parametrize("family", ["segre", "veronese_rees"])
+@settings(max_examples=30, deadline=None)
+@given(c=st.integers(1, 3), d=st.integers(1, 3), data=st.data())
+def test_alpha_table_preset_answers_any_ladder_order(family, c, d, data):
+    degree = c + d - 1 if family == "segre" else d + 1
+    ladder = data.draw(ladders(1, degree))
+    shared, fresh = shared_and_fresh(family, (c, d), ladder)
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("family, dim", [("semigroup", 2),
+                                         ("semigroup_extrees", 3)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_semigroup_preset_answers_any_ladder_order(family, dim, data):
+    s = data.draw(NORMAL_SOURCES[dim])
+    ladder = data.draw(ladders(toric.period(s, dim), dim))
+    shared, fresh = shared_and_fresh(family, (s,), ladder)
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("family, dim", [("semigroup", 2),
+                                         ("semigroup_extrees", 3)])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_non_normal_preset_answers_any_ladder_order(family, dim, data):
+    """P = 1 for k[S] and 30 for R'(m), so R'(m) runs the box at q >= 121."""
+    ladder = data.draw(ladders(toric.period(NOT_NORMAL, dim), dim))
+    shared, fresh = shared_and_fresh(family, (NOT_NORMAL,), ladder)
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("family, params, inner, qs, nodes", [
+    ("segre", (3, 4), "_segre_sum", (128, 256, 512, 768, 1024), range(1, 8)),
+    ("veronese_rees", (3, 3), "_veronese_rees_sum", (64, 128, 256, 384, 512),
+     range(1, 6)),
+    ("semigroup", (semigroup_binomial_an(3),), "_ehk_box", (12, 24, 48),
+     (3, 6, 9)),
+    ("semigroup_extrees", (semigroup_binomial_an(3),), "_extrees_box",
+     (12, 24, 48), (3, 6, 9, 12)),
+])
+def test_one_preset_evaluates_each_node_once(
+    monkeypatch, family, params, inner, qs, nodes
+):
+    """A ladder of one preset shares its nodes: each is evaluated once, and
+    a second preset of the same ring evaluates them all again."""
+    calls = []
+    real = getattr(lattice, inner)
+    monkeypatch.setattr(
+        lattice, inner, lambda *args: calls.append(args[-1]) or real(*args)
+    )
+    for _ in range(2):
+        preset = getattr(presets, family)(*params)
+        for q in qs:
+            assert preset.counter(q) > 0
+        assert sorted(calls) == list(nodes)
+        calls.clear()
+
+
+@pytest.mark.parametrize("family", ["semigroup", "semigroup_extrees"])
+@pytest.mark.parametrize("s", [semigroup_binomial_an(3), NOT_NORMAL])
+def test_one_preset_tests_normality_once(monkeypatch, family, s):
+    calls = []
+    for name in ("is_normal", "period"):
+        real = getattr(toric, name)
+        monkeypatch.setattr(toric, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    normal = toric.is_normal(s)
+    calls.clear()
+    for _ in range(2):
+        preset = getattr(presets, family)(s)
+        for q in (4, 12, 24, 48):
+            assert preset.counter(q) > 0
+        assert calls == ["is_normal"] + ["period"] * normal
+        calls.clear()
+
+
 def brute_force_normal(s):
     """Whether every point of ZS in [0, 3a] x [0, 3b] lies in S.  ZS is a
     union of cosets of aZ x bZ, so a point lies in ZS iff its residue
