@@ -24,7 +24,7 @@ from .engine import (
     PureDifferenceBinomial,
     frobenius_colength,
 )
-from .errors import ClosureError, DimensionError, ParameterError, RankError
+from .errors import ClosureError, DimensionError, ParameterError
 from .estimator import ColengthSample, HKEstimate, estimate, normalized_sequence
 from .lattice import (
     MonomialIdeal2D,
@@ -45,7 +45,7 @@ __all__ = [
     "ci_rees_values", "conca_ehk", "segre_ehk", "veronese_rees_ehk",
     "veronese_rees_ehk_general", "MonomialOrderSpec", "PresentedQuotient",
     "PureDifferenceBinomial", "frobenius_colength", "ClosureError",
-    "DimensionError", "ParameterError", "RankError", "ColengthSample",
+    "DimensionError", "ParameterError", "ColengthSample",
     "HKEstimate", "estimate", "normalized_sequence", "MonomialIdeal2D",
     "Semigroup2D", "ci_rees_colength", "equality_criterion",
     "rees_monomial_colength", "segre_colength", "semigroup_ehk_colength",

@@ -52,7 +52,7 @@ def _cache(cache_dir: str) -> ColengthCache:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [parse_int(x.strip()) for x in text.split(",") if x.strip()]
+        return [parse_int(x.strip()) for x in text.split(",")]
     except ValueError:
         raise ParameterError(f"bad integer list {text!r}")
 

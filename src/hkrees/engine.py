@@ -134,22 +134,13 @@ def reduce(element: Element, basis: list[Element], order: MonomialOrderSpec) -> 
             packed_lead = sum(map(lshift, lead, shifts))
             packed_tail = 0 if tail is None else sum(map(lshift, tail, shifts))
             stale = False
-        for i, b in enumerate(leads):
+        for k, b in enumerate(leads):
             if not (packed_lead - b) & guard:
+                term, packed, other, packed_other = lead, packed_lead, tail, packed_tail
                 break
-        else:
-            i = len(leads)
-        k = i
-        if tail is not None:
-            # only a lead before the lead term's first divisor can win
-            for j in range(i):
-                if not (packed_tail - leads[j]) & guard:
-                    k = j
-                    break
-        if k < i:
-            term, packed, other, packed_other = tail, packed_tail, lead, packed_lead
-        elif i < len(leads):
-            term, packed, other, packed_other = lead, packed_lead, tail, packed_tail
+            if tail is not None and not (packed_tail - b) & guard:
+                term, packed, other, packed_other = tail, packed_tail, lead, packed_lead
+                break
         else:
             return _check_closure((lead, tail))
         bl, bt = basis[k]

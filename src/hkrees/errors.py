@@ -9,10 +9,6 @@ class DimensionError(ValueError):
     """A quotient that should be finite-dimensional is not (non-Artinian input)."""
 
 
-class RankError(ValueError):
-    """Semigroup generators do not span a finite-index sublattice of Z^2."""
-
-
 class ClosureError(RuntimeError):
     """Internal invariant violation: an intermediate element left the
     monomial / pure-difference-binomial class."""

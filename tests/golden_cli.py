@@ -211,11 +211,20 @@ FOREIGN_AND_EMPTY = [
     ["cache", "clear", "--cache-dir", ""],
 ]
 
+# Empty entries in an integer list (exit 3); appended after FOREIGN_AND_EMPTY.
+EMPTY_ENTRIES = [
+    ["formula", "conca", "--ds", "1,,2", "--es", "3"],
+    ["formula", "conca", "--ds", "1,2,", "--es", "3"],
+    ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "8,,16"],
+    ["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid", "primepow:3",
+     "--q", "1,,2"],
+]
+
 
 def cases() -> list[list[str]]:
     suites = [["check", "--suite", s, *j] for s in SUITES for j in ([], ["--json"])]
     return (_formula_cases() + _oracle_cases() + suites + ERRORS + LATE
-            + NEGATIVE_EXPONENT + FOREIGN_AND_EMPTY)
+            + NEGATIVE_EXPONENT + FOREIGN_AND_EMPTY + EMPTY_ENTRIES)
 
 
 def choice_lists() -> dict[str, list[str]]:

@@ -1,5 +1,5 @@
 """Print the code, docstring, comment and blank lines of each module in
-src/hkrees, and their totals.
+src/hkrees, its syntax-tree node count, and their totals.
 
     python tests/src_lines.py            # the package next to this file
     python tests/src_lines.py DIR        # the modules in another directory
@@ -7,7 +7,8 @@ src/hkrees, and their totals.
 A docstring line is a line of a module, class or function docstring; a
 comment line holds a comment and no code; a blank line holds nothing.
 Every other line is code, including the lines of a multi-line string that
-is not a docstring.
+is not a docstring.  The node count is the number of nodes that
+`ast.walk` visits in the parsed module.
 """
 
 from __future__ import annotations
@@ -50,17 +51,24 @@ def line_kinds(text: str) -> dict[str, int]:
     return counts
 
 
+def node_count(text: str) -> int:
+    """How many syntax-tree nodes the Python source `text` parses into."""
+    return sum(1 for _ in ast.walk(ast.parse(text)))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "hkrees"
-    total = dict.fromkeys(KINDS, 0)
-    print(f"{'module':<16}" + "".join(f"{k:>10}" for k in KINDS))
+    columns = (*KINDS, "nodes")
+    total = dict.fromkeys(columns, 0)
+    print(f"{'module':<16}" + "".join(f"{k:>10}" for k in columns))
     for path in sorted(src.glob("*.py")):
-        counts = line_kinds(path.read_text(encoding="utf-8"))
-        for k in KINDS:
+        text = path.read_text(encoding="utf-8")
+        counts = {**line_kinds(text), "nodes": node_count(text)}
+        for k in columns:
             total[k] += counts[k]
-        print(f"{path.name:<16}" + "".join(f"{counts[k]:>10}" for k in KINDS))
-    print(f"{'total':<16}" + "".join(f"{total[k]:>10}" for k in KINDS))
+        print(f"{path.name:<16}" + "".join(f"{counts[k]:>10}" for k in columns))
+    print(f"{'total':<16}" + "".join(f"{total[k]:>10}" for k in columns))
     return 0
 
 

@@ -456,7 +456,8 @@ def test_oracle_reads_vars_line_first(capsys, tmp_path, text):
 
 
 # int() also reads underscores and non-ASCII digits; every integer from
-# outside must be ASCII digits with an optional leading minus.
+# outside must be ASCII digits with an optional leading minus.  An empty
+# list entry is no integer either: `--ds 1,,2` once read as `--ds 1,2`.
 @pytest.mark.parametrize("argv, text, code, err", [
     (["oracle", "--preset", "presentation", "--q", "2,3"],
      "vars: x y z\nbin: x*y - z^1_0\ndim: 2\n",
@@ -478,9 +479,22 @@ def test_oracle_reads_vars_line_first(capsys, tmp_path, text):
      None, 3, "error: bad integer list '1_0'\n"),
     (["formula", "segre", "--c", "1_0", "--d", "2"], None, 2, "'1_0'"),
     (["formula", "ci-rees", "--m", "2", "--n", "\u0663"], None, 2, "'\u0663'"),
+    (["formula", "conca", "--ds", "1,,2", "--es", "3"],
+     None, 3, "error: bad integer list '1,,2'\n"),
+    (["formula", "conca", "--ds", "1,2,", "--es", "3"],
+     None, 3, "error: bad integer list '1,2,'\n"),
+    (["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "8,,16"],
+     None, 3, "error: bad integer list '8,,16'\n"),
+    (["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid",
+      "primepow:3", "--q", "1,,2"], None, 3, "error: bad integer list '1,,2'\n"),
+    (["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", ""],
+     None, 3, "error: bad integer list ''\n"),
+    (["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", ","],
+     None, 3, "error: bad integer list ','\n"),
 ], ids=["exponent", "dim", "coordinate", "q-underscore", "q-fullwidth",
         "grid-base", "grid-plus", "conca-list", "flag-underscore",
-        "flag-arabic-indic"])
+        "flag-arabic-indic", "conca-empty-entry", "conca-trailing-comma",
+        "q-empty-entry", "grid-empty-exponent", "q-empty", "q-comma"])
 def test_integers_from_input_are_ascii_digits(capsys, tmp_path, argv, text,
                                               code, err):
     if text is not None:
