@@ -357,6 +357,24 @@ def ci_rees_colength(m: int, n: int, q: int) -> int:
     With F(t, n) the sum of floor(b/n) over b < t (`_floor_sum`), the
     a, b < q give q^2 + q (F(q, m) + F(q, n)), and the sum of Delta_n(b)
     over q <= b < qn telescopes into F(qn, n) - F(q, n) - F(qn - q, n).
+
+    In q.  On each residue class of q mod L = lcm(m, n), floor(q/m) and
+    floor(q/n) are affine in q and q mod m, q mod n are fixed, so every
+    term is a polynomial of degree at most 3 in q, but for two clamps.
+    `binomial`'s 0 below 0 never switches on a class: in `_strip(q, m, n)`,
+    k - v = ceil(q/m) - 1 - floor(q/n) is <= 0 when m >= n, so its terms
+    in k - v are all 0, and >= 0 when m < n, so none of them is clamped.
+    The min of the product sum is the other.  Say m > n (the colength is
+    symmetric in m and n) and s_e = floor(q/e), so s_m <= s_n: of its four
+    pairs only min(s_m + 1, s_n) can switch, and it is s_m + 1 unless
+    s_m = s_n = t.  That needs tm <= q < (t + 1) n, so t (m - n) <= n - 1
+    and q < (t + 1) n <= n (m - 1)/(m - n) <= (n/g)(m - 1) < L, with
+    g = gcd(m, n) dividing m - n.  So from q = L on the colength is a cubic
+    on each class: a leading coefficient must be read from nodes
+    r + L, r + 2L, ..., not from a class's first member r < L.  Below L the
+    cubic can miss: at (m, n) = (4, 3) and q = 2 it gives 20, but the
+    colength is 16.  At m = n the min is s_m for every q, so the cubic
+    holds from q = 1.
     """
     if m < 1 or n < 1 or q < 1:
         raise ParameterError(f"need m, n, q >= 1, got ({m}, {n}, {q})")

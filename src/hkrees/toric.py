@@ -1,7 +1,9 @@
 """Ehrhart quasi-polynomials of toric colengths.
 
 `polynomial_in_q` evaluates a colength that is a polynomial in q on each
-residue class of q mod a period from its values at a few nodes.  For a
+residue class of q mod a period from its values at a few nodes, and
+`leading_coefficient` reads that polynomial's leading coefficient, the
+limit of colength / q^dim, from the same forward differences.  For a
 normal 2D affine semigroup S, `is_normal`, `lattice_basis` and `period`
 give that period for the colengths of k[S] and of its extended Rees
 algebra R'(m).  They take a normalized `lattice.Semigroup2D`: generators
@@ -54,6 +56,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
+
+
+def _forward_differences(f, degree: int, period: int, start: int) -> list:
+    """Delta^j f(start) for j = 0..degree, along start, start + period, ..."""
+    row = [f(start + j * period) for j in range(degree + 1)]
+    out = []
+    for _ in range(degree + 1):
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
 
 
 def polynomial_in_q(table_sum, degree: int, q: int, period: int = 1,
@@ -84,12 +97,20 @@ def polynomial_in_q(table_sum, degree: int, q: int, period: int = 1,
     k, r = divmod(q - 1, period)
     if k <= degree:
         return node(q)
-    diffs = [node(r + 1 + j * period) for j in range(degree + 1)]
-    total = 0
-    for j in range(degree + 1):
-        total += math.comb(k, j) * diffs[0]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return total
+    diffs = _forward_differences(node, degree, period, r + 1)
+    return sum(math.comb(k, j) * d for j, d in enumerate(diffs))
+
+
+def leading_coefficient(table_sum, degree: int, period: int = 1,
+                        start: int = 1) -> Fraction:
+    """The coefficient of q^degree in the polynomial that table_sum agrees
+    with on start, start + period, ...: Delta^degree f(start) /
+    (degree! period^degree), the differences taken along that class.  For
+    a colength it is the limit of colength / q^degree, so it is exact only
+    from a start where the colength already follows its class polynomial.
+    """
+    top = _forward_differences(table_sum, degree, period, start)[-1]
+    return Fraction(top, math.factorial(degree) * period**degree)
 
 
 def lattice_basis(s) -> tuple[tuple[int, int], tuple[int, int]]:

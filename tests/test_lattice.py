@@ -1,5 +1,6 @@
 """Tests for the lattice-point colength counters."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -169,26 +170,19 @@ def test_large_q_sums_tables_only_at_the_nodes(
     assert nodes == list(range(1, degree + 2))
 
 
-def leading_difference(values):
-    """Delta^D f(1) / D! for the values f(1), ..., f(D+1)."""
-    diffs = list(values)
-    while len(diffs) > 1:
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return Fraction(diffs[0], math.factorial(len(values) - 1))
-
-
 def test_segre_leading_difference_is_closed_form():
     for c in range(1, 7):
         for d in range(1, 7):
-            values = [segre_colength(c, d, q) for q in range(1, c + d + 1)]
-            assert leading_difference(values) == cf.segre_ehk(cf.SegreParams(c, d)), (c, d)
+            got = toric.leading_coefficient(
+                lambda q: segre_colength(c, d, q), c + d - 1)
+            assert got == cf.segre_ehk(cf.SegreParams(c, d)), (c, d)
 
 
 def test_veronese_rees_leading_difference_is_closed_form():
     for c in range(1, 7):
         for d in range(1, 6):
-            values = [veronese_rees_colength(c, d, q) for q in range(1, d + 3)]
-            got = leading_difference(values) / c ** (d + 1)
+            got = toric.leading_coefficient(
+                lambda q: veronese_rees_colength(c, d, q), d + 1) / c ** (d + 1)
             want = (1 if d == 1
                     else cf.veronese_rees_ehk_general(cf.VeroneseParams(c, d)))
             assert got == want, (c, d)
@@ -397,7 +391,9 @@ def test_ci_rees_leading_term_is_closed_form(m, n):
     """On each residue class r mod L = lcm(m, n) the colength agrees with
     the cubic through q = r+L, ..., r+4L at three held-out q, the last near
     10^4, and the cubic's leading coefficient is e_HK of the Rees algebra.
-    The period L is evidence from these checks, not a proof."""
+    The nodes start at r + L, not at r: `ci_rees_colength` proves the
+    colength a cubic on each class from q = L on, and below L it can miss
+    it (see the next test)."""
     period = math.lcm(m, n)
     target = cf.ci_rees_values(m, n).ehk_rees
     for r in range(period):
@@ -405,8 +401,27 @@ def test_ci_rees_leading_term_is_closed_form(m, n):
         ys = [ci_rees_colength(m, n, x) for x in xs]
         for x in (r + 5 * period, r + 6 * period, r + period * (10**4 // period)):
             assert _cubic_at(xs, ys, x) == ci_rees_colength(m, n, x), (m, n, r, x)
-        third_difference = ys[3] - 3 * ys[2] + 3 * ys[1] - ys[0]
-        assert Fraction(third_difference, 6 * period**3) == target, (m, n, r)
+        got = toric.leading_coefficient(dict(zip(xs, ys)).__getitem__, 3,
+                                        period, xs[0])
+        assert got == target, (m, n, r)
+
+
+def test_ci_rees_class_cubic_starts_at_the_period():
+    """At (m, n) = (4, 3), L = 12, the cubic of the class 2 mod 12 through
+    q = 14, 26, 38, 50 gives 20 at q = 2, where floor(q/m) = floor(q/n),
+    but the colength there is 16, as the staircase counter agrees.  So the
+    nodes 2, 14, 26, 38 give a wrong leading coefficient, and a
+    certificate must not start at a class's first member below L."""
+    xs = [14, 26, 38, 50]
+    ys = [ci_rees_colength(4, 3, x) for x in xs]
+    assert _cubic_at(xs, ys, 2) == 20
+    ideal = MonomialIdeal2D.from_gens([(4, 0), (0, 3)])
+    assert ci_rees_colength(4, 3, 2) == 16 == rees_monomial_colength(
+        ideal, 2, "maximal-ideal")
+    colength = functools.partial(ci_rees_colength, 4, 3)
+    assert toric.leading_coefficient(colength, 3, 12, 2) == Fraction(8587, 2592)
+    assert cf.ci_rees_values(4, 3).ehk_rees == Fraction(53, 16)
+    assert toric.leading_coefficient(colength, 3, 12, 14) == Fraction(53, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +816,21 @@ def test_period_pinned(gens, dim, period):
     assert toric.period(Semigroup2D(gens), dim) == period
 
 
+def test_leading_coefficient_on_hand_written_inputs():
+    """Delta^D f(start) / (D! P^D) along one residue class: f(q) =
+    3q^2 + (q mod 2) q has leading coefficient 3 on both classes mod 2, and
+    a cubic with period 1 has its own from any start."""
+    def f(q):
+        return 3 * q * q + q % 2 * q
+
+    assert toric.leading_coefficient(f, 2, 2, 1) == 3
+    assert toric.leading_coefficient(f, 2, 2, 2) == 3
+    assert toric.leading_coefficient(lambda q: 5 * q**3 - 7 * q + 2, 3) == 5
+    got = toric.leading_coefficient(lambda q: q * (q + 1) * (q + 2) // 6, 3,
+                                    start=4)
+    assert got == Fraction(1, 6)
+
+
 @pytest.mark.parametrize("gens", [
     ((0, 3), (1, 1), (3, 0)), ((0, 3), (1, 2), (2, 1), (3, 0)),
 ])
@@ -974,14 +1004,6 @@ def test_lattice_basis_spans_zs(s):
     assert s.index() == d * e == math.gcd(*minors)
 
 
-def leading_coefficient(counter, s, dim, r):
-    """Delta^dim f(r) / (dim! P^dim) along the nodes r + jP of the residue
-    class of r: the leading coefficient of that class's polynomial."""
-    period = toric.period(s, dim)
-    values = [counter(s, r + j * period) for j in range(dim + 1)]
-    return leading_difference(values) / period**dim
-
-
 @pytest.mark.parametrize("s, n, ehk, extrees", [
     (semigroup_binomial_an(3), 3, Fraction(5, 3), Fraction(46, 27)),
     (semigroup_binomial_an(4), 4, Fraction(7, 4), Fraction(43, 24)),
@@ -997,21 +1019,50 @@ def test_normal_semigroup_limits_are_exact(s, n, ehk, extrees):
     if n is not None:
         assert (ehk, extrees) == (cf.conca_ehk([1, 1], [n]), cf.an_extrees_ehk(n))
     for dim, want in ((2, ehk), (3, extrees)):
-        counter = BOXES[dim][0]
-        got = {leading_coefficient(counter, s, dim, r)
-               for r in range(1, toric.period(s, dim) + 1)}
+        counter = functools.partial(BOXES[dim][0], s)
+        period = toric.period(s, dim)
+        got = {toric.leading_coefficient(counter, dim, period, r)
+               for r in range(1, period + 1)}
         assert got == {want}, dim
 
 
+def base_multiplicity(s):
+    """e(A) = 2 area(C minus N) / |Z^2 : ZS|, with N the Newton polygon,
+    bounded by the lower hull of the generators.  Twice the area under a
+    chain of generators from (0, b) to (a, 0) is its sum of
+    x_j y_i - x_i y_j over consecutive g_i, g_j; every chain lies on or
+    above the lower hull, which is one of them, so the least sum is twice
+    the area under the hull."""
+    g = s.generators
+    least = [0]  # least[j]: over the chains from g_0 to g_j
+    for j, (xj, yj) in enumerate(g[1:], 1):
+        least.append(min(least[i] + xj * yi - xi * yj
+                         for i, (xi, yi) in enumerate(g[:j])))
+    return Fraction(least[-1], s.index())
+
+
 def test_equality_criterion_on_normal_cyclic_quotients():
-    """Prop 5.7: e_HK(k[S]) = e_HK(R'(m)) iff the criterion holds, tested
-    exactly on the normal cyclic-quotient semigroups with n <= 8, one of
-    each mirror pair (the criterion and both limits are symmetric)."""
+    """Prop 5.7: e_HK(k[S]) = e_HK(R'(m)) iff the criterion holds, and
+    Theorem 1's chain e_HK(k[S]) <= e_HK(R'(m)) <= e(A), tested exactly on
+    the normal cyclic-quotient semigroups with n <= 8, one of each mirror
+    pair (the criterion, both limits and e(A) are symmetric)."""
     seen = {}
     for s in cyclic_quotients(8):
         seen.setdefault(min(s.generators, mirror(s).generators), s)
     assert len(seen) == 19
     for s in seen.values():
-        ehk = leading_coefficient(semigroup_ehk_colength, s, 2, 1)
-        extrees = leading_coefficient(semigroup_extrees_colength, s, 3, 1)
+        ehk, extrees = (
+            toric.leading_coefficient(functools.partial(BOXES[dim][0], s), dim,
+                                      toric.period(s, dim))
+            for dim in (2, 3))
         assert (ehk == extrees) == equality_criterion(s), s
+        assert ehk <= extrees <= base_multiplicity(s), s
+
+
+@pytest.mark.parametrize("gens, e", [
+    (((0, 1), (1, 0)), 1),
+    (((0, 3), (1, 1), (3, 0)), 2),  # A2: 5/3 <= 46/27 <= 2
+    (((0, 8), (1, 3), (3, 1), (8, 0)), 3),  # 19/8 <= 22/9 <= 3
+] + [(semigroup_veronese(c).generators, c) for c in (2, 3, 4)])
+def test_base_multiplicity_pinned(gens, e):
+    assert base_multiplicity(Semigroup2D(gens)) == e
