@@ -2,7 +2,9 @@
 
 Each suite runs a fixed list of exact comparisons and returns CheckResult
 records; a limit with no closed form is read exactly from its lattice
-counter with `toric.leading_coefficient`.  Report-only checks record
+counter with `toric.leading_coefficient`, and cor54 proves its inequality
+for every c from the Newton coefficients `toric.forward_differences` gives
+of a closed form that is a polynomial in c.  Report-only checks record
 observed values without ever failing a run; they cover comparisons where
 published reference values are known to disagree with each other.
 """
@@ -88,29 +90,41 @@ def suite_theorem2() -> list[CheckResult]:
 
 
 def suite_cor54() -> list[CheckResult]:
-    """Strict inequality value < e(A) = c^(d-1) for d in {3, 4}, and the
-    large-c ratio approaching (2^(d+1) - 2)/(d+1)!."""
+    """Corollary 5.4 on the degree-c Veronese of d = 3, 4 variables,
+    proved for every c >= lo = d(d-1)/2: value < e(A) = c^(d-1), and
+    value / c^(d-1) tends to (2^(d+1) - 2)/(d+1)!.
+
+    For c >= d the closed form `cf.veronese_rees_ehk` gives
+
+        c value = 2^(d+1) c^d/(d+1)! - (2c - d(d-1)) prod_{0<i<d} (c+i)/(d+1)!,
+
+    a polynomial of degree d in c, and lo >= d.  So by Newton's formula
+    f(c) = c^d - c value is the sum over j <= d of C(c - lo, j)
+    Delta^j f(lo) at every integer c >= lo, where C(c - lo, 0) = 1 and no
+    C(c - lo, j) is negative.  If Delta^0 f(lo) > 0 and no Delta^j f(lo)
+    is negative, then f(c) > 0, that is value < c^(d-1), for every
+    c >= lo.  The limit is the leading coefficient of c value, read from
+    the same nodes c = lo, ..., lo + d by `toric.leading_coefficient`.
+    """
     out = []
     for d in (3, 4):
         lo = d * (d - 1) // 2
-        ok = all(
-            cf.veronese_rees_ehk_general(cf.VeroneseParams(c, d)) < c ** (d - 1)
-            for c in range(lo, 51)
-        )
+
+        def scaled(c):
+            return c * cf.veronese_rees_ehk(cf.VeroneseParams(c, d))
+        diffs = toric.forward_differences(lambda c: c**d - scaled(c), d, 1, lo)
         out.append(_cmp(
-            f"cor54/strict-d{d}",
-            ok, "value", f"< c^{d - 1} for c = {lo}..50",
-            "strict inequality against the base multiplicity",
+            f"cor54/strict-d{d}", diffs[0] > 0 and min(diffs) >= 0,
+            ", ".join(map(format_fraction, diffs)), 0,
+            f"Newton coefficients of c^{d} - c*value at c = {lo}: the first "
+            f"> 0 and none < 0, so value < c^{d - 1} for every c >= {lo}",
         ))
+        ratio = toric.leading_coefficient(scaled, d, 1, lo)
         limit = Fraction(2 ** (d + 1) - 2, factorial(d + 1))
-        ratio = cf.veronese_rees_ehk_general(
-            cf.VeroneseParams(1000, d)
-        ) / 1000 ** (d - 1)
-        ok = abs(ratio - limit) <= limit / 10
         out.append(_cmp(
-            f"cor54/ratio-d{d}",
-            ok, ratio, limit,
-            "ratio at c = 1000 within 10% of the limit",
+            f"cor54/ratio-d{d}", ratio == limit, ratio, limit,
+            f"limit of value / c^{d - 1}, the leading coefficient of "
+            f"c*value, is (2^{d + 1} - 2)/{d + 1}!",
         ))
     return out
 

@@ -22,7 +22,7 @@ from . import closed_forms as cf
 from . import checks, engine, lattice, presets
 from .cache import ColengthCache, cached_counter
 from .errors import ClosureError, ParameterError
-from .estimator import estimate, normalized_sequence
+from .estimator import estimate
 from .exact import format_fraction, parse_int, stirling2
 
 
@@ -97,11 +97,12 @@ def cmd_formula(args) -> int:
         else:
             print(" ".join(str(x) for x in value))
     elif args.json:
-        print(json.dumps({
-            "family": args.family,
-            "value": format_fraction(value),
-            "value_approx": float(value),
-        }, sort_keys=True))
+        try:
+            approx = float(value)
+        except OverflowError:  # beyond the float range: only `value` is exact
+            approx = None
+        print(json.dumps({"family": args.family, "value": format_fraction(value),
+                          "value_approx": approx}, sort_keys=True))
     else:
         print(format_fraction(value))
     return 0
@@ -155,15 +156,13 @@ def cmd_oracle(args) -> int:
         print(json.dumps(doc, sort_keys=True))
         return 0
     print(f"preset: {preset.description} (dim {preset.dimension})")
-    for s, v in zip(est.samples, normalized_sequence(est.samples, est.dimension)):
-        print(f"  q={s.q:<6d} count={s.count:<16d} normalized={format_fraction(v)}")
-    print(f"leading estimate: {format_fraction(est.leading)}"
-          f" (~{float(est.leading):.6f})")
-    print(f"bracket: [{format_fraction(est.bracket[0])},"
-          f" {format_fraction(est.bracket[1])}]")
-    if preset.target is not None:
-        status = "inside" if est.contains(preset.target) else "OUTSIDE"
-        print(f"target: {format_fraction(preset.target)} ({status} bracket)")
+    for (q, count), v in zip(doc["samples"], doc["normalized"]):
+        print(f"  q={q:<6d} count={count:<16d} normalized={v}")
+    print(f"leading estimate: {doc['leading']} (~{doc['leading_approx']:.6f})")
+    print("bracket: [{}, {}]".format(*doc["bracket"]))
+    if "target" in doc:
+        status = "inside" if doc["target_in_bracket"] else "OUTSIDE"
+        print(f"target: {doc['target']} ({status} bracket)")
     return 0
 
 
@@ -252,8 +251,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ClosureError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ClosureError, OSError, MemoryError) as exc:
+        # a MemoryError, as from allocating a box, usually has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -3,7 +3,8 @@
 `polynomial_in_q` evaluates a colength that is a polynomial in q on each
 residue class of q mod a period from its values at a few nodes, and
 `leading_coefficient` reads that polynomial's leading coefficient, the
-limit of colength / q^dim, from the same forward differences.  For a
+limit of colength / q^dim, from the same forward differences, which
+`forward_differences` alone computes.  For a
 normal 2D affine semigroup S, `is_normal`, `lattice_basis` and `period`
 give that period for the colengths of k[S] and of its extended Rees
 algebra R'(m).  They take a normalized `lattice.Semigroup2D`: generators
@@ -59,8 +60,10 @@ import math
 from fractions import Fraction
 
 
-def _forward_differences(f, degree: int, period: int, start: int) -> list:
-    """Delta^j f(start) for j = 0..degree, along start, start + period, ..."""
+def forward_differences(f, degree: int, period: int, start: int) -> list:
+    """Delta^j f(start) for j = 0..degree, along start, start + period, ...:
+    the Newton coefficients of a polynomial f of that degree, which is
+    sum over j of C(k, j) Delta^j f(start) at start + k period."""
     row = [f(start + j * period) for j in range(degree + 1)]
     out = []
     for _ in range(degree + 1):
@@ -97,7 +100,7 @@ def polynomial_in_q(table_sum, degree: int, q: int, period: int = 1,
     k, r = divmod(q - 1, period)
     if k <= degree:
         return node(q)
-    diffs = _forward_differences(node, degree, period, r + 1)
+    diffs = forward_differences(node, degree, period, r + 1)
     return sum(math.comb(k, j) * d for j, d in enumerate(diffs))
 
 
@@ -109,7 +112,7 @@ def leading_coefficient(table_sum, degree: int, period: int = 1,
     a colength it is the limit of colength / q^degree, so it is exact only
     from a start where the colength already follows its class polynomial.
     """
-    top = _forward_differences(table_sum, degree, period, start)[-1]
+    top = forward_differences(table_sum, degree, period, start)[-1]
     return Fraction(top, math.factorial(degree) * period**degree)
 
 

@@ -338,6 +338,19 @@ def test_formula_json(capsys):
     assert abs(doc["value_approx"] - 13 / 6) < 1e-12
 
 
+def test_formula_json_value_beyond_float_range(capsys):
+    """`value` stays exact, and `value_approx` is null when the value does
+    not fit a float."""
+    argv = ["formula", "veronese-rees-general", "--c", str(10**400), "--d", "2"]
+    code, text, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["value"] == text.strip()
+    assert doc["value_approx"] is None
+
+
 def test_formula_computation_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "formula", "conca", "--ds", "0", "--es", "1")
     assert code == 3
@@ -703,6 +716,26 @@ def test_missing_file_exit_3(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("box too large"), "error: box too large\n"),
+])
+def test_out_of_memory_exit_3(capsys, tmp_path, monkeypatch, exc, err):
+    """A counter that cannot allocate its box gives a one-line error and
+    exit 3, not a traceback.  S is not normal, so the box runs at q."""
+    from hkrees import lattice
+
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(lattice, "_PackedBox", no_memory)
+    path = tmp_path / "sg.txt"
+    path.write_text("sg: (0,5) (2,1) (3,0)\n")
+    got = run_cli(capsys, "oracle", "--preset", "semigroup", "--file",
+                  str(path), "--q", "8,16")
+    assert got == (3, "", err)
 
 
 def test_oracle_drops_repeated_semigroup_generators(capsys, tmp_path):
