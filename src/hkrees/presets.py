@@ -5,6 +5,14 @@ keying, so identical computations hit the same cache entries regardless of
 how they were requested.  The Segre, Veronese Rees and semigroup presets
 also carry one node table for their counter (see `lattice`), so the q of
 one ladder share their node values; a new preset starts a new table.
+
+The two A_n engine presets, `an_hypersurface` (n >= 2) and `an_extrees`,
+keep one too: each is a toric twin, k[S] and R'(m) for the normal
+S = <(0,n), (1,1), (n,0)>, so its engine counter is a polynomial on each
+residue class of q mod `toric.period(S, dim)` (see `_engine_preset`).
+The counter reads q from the dim + 1 nodes of its class when they sum to
+at most q, and runs the engine at q below that.  `ci_extrees` and
+`presentation` have no twin and run the engine at every q.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import closed_forms as cf
-from . import engine, lattice
+from . import engine, lattice, toric
 from .errors import DimensionError, ParameterError
 from .estimator import ColengthSample
 
@@ -67,9 +75,49 @@ def ci_extrees_presentation(m: int, n: int) -> engine.PresentedQuotient:
 
 def _engine_preset(description: str, p: engine.PresentedQuotient,
                    order: engine.MonomialOrderSpec | None,
-                   target: Fraction | None = None) -> Preset:
-    return Preset(description, p.dimension,
-                  lambda q: engine.frobenius_colength(p, q, order), target)
+                   target: Fraction | None = None,
+                   twin: lattice.Semigroup2D | None = None) -> Preset:
+    """A preset that counts with `engine.frobenius_colength` under `order`.
+
+    With a twin, the ring is k[S] (dim 2) or R'(m) over k[S] (dim 3) for
+    the normal semigroup S = twin.  For A_n, S = <(0,n), (1,1), (n,0)>:
+    z -> (1,1), x -> (n,0) and y -> (0,n) map k[x,y,z]/(xy - z^n) onto
+    k[S], as xy and z^n both go to (n,n), and with w -> t^-1 (and the
+    three others times t) k[x,y,z,w]/(xy - z^n w^(n-2)) onto R'(m), as
+    both sides go to ((n,n), 2).  Source and image are domains of the
+    same dimension (the relation is linear in x, so irreducible), so these
+    are isomorphisms, and they map (x^q, y^q, z^q[, w^q]) onto the M^[q]
+    of `lattice`, whose (q g_i, 0) is (q g_i, q) times (0, -q).  S is
+    normal: ZS = {x = y mod n}, and each of its points (x, y) in the
+    quadrant is min(x, y) (1,1) plus a multiple of (n,0) or (0,n).  So by
+    `toric` the colength is, for every q >= 1, a polynomial of degree dim
+    on each residue class of q mod P = `toric.period(S, dim)`.
+
+    A Buchberger run costs a fixed part plus a part that grows with q.
+    With r = (q - 1) mod P, the nodes r + 1 + jP, j = 0..dim, sum to
+    (dim+1)(r+1) + P dim(dim+1)/2: below that sum the engine runs at q,
+    and from it on `toric.polynomial_in_q` reads q from the nodes.  One
+    table keeps P, computed at the first call, and every value counted.
+    """
+    def count(q: int) -> int:
+        return engine.frobenius_colength(p, q, order)
+
+    if twin is None:
+        return Preset(description, p.dimension, count, target)
+    dim, table = p.dimension, {}
+
+    def counter(q: int) -> int:
+        if "period" not in table:
+            table["period"] = toric.period(twin, dim)
+        period = table["period"]
+        r = (q - 1) % period
+        if q >= (dim + 1) * (r + 1) + period * dim * (dim + 1) // 2:
+            return toric.polynomial_in_q(count, dim, q, period, table)
+        if q not in table:
+            table[q] = count(q)
+        return table[q]
+
+    return Preset(description, dim, counter, target)
 
 
 def an_hypersurface(n: int,
@@ -78,8 +126,9 @@ def an_hypersurface(n: int,
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     p, _ = engine.parse_presentation(ENGINE_RINGS["an-hypersurface"](n))
+    twin = lattice.semigroup_binomial_an(n) if n >= 2 else None
     return _engine_preset(f"an-hypersurface n={n}", p, order,
-                          cf.conca_ehk([1, 1], [n]))
+                          cf.conca_ehk([1, 1], [n]), twin)
 
 
 def an_extrees(n: int,
@@ -88,7 +137,8 @@ def an_extrees(n: int,
     maximal ideal of the n-th binomial hypersurface."""
     target = cf.an_extrees_ehk(n)  # rejects n < 2
     p, _ = engine.parse_presentation(ENGINE_RINGS["an-extrees"](n))
-    return _engine_preset(f"an-extrees n={n}", p, order, target)
+    return _engine_preset(f"an-extrees n={n}", p, order, target,
+                          lattice.semigroup_binomial_an(n))
 
 
 def segre(c: int, d: int) -> Preset:

@@ -328,6 +328,16 @@ def test_formula_stirling_table_rejects_n_below_one(capsys, n):
     assert err == f"error: n must be >= 1, got {n}\n"
 
 
+@pytest.mark.parametrize("preset", ["an-hypersurface", "an-extrees"])
+@pytest.mark.parametrize("q", ["0", "-4", "0,64"])
+def test_twin_presets_reject_q_below_one(capsys, preset, q):
+    """q >= 1 is checked before any period or node is read."""
+    code, out, err = run_cli(capsys, "oracle", "--preset", preset, "--n", "3",
+                             "--q", q)
+    assert (code, out) == (3, "")
+    assert err == f"error: q must be >= 1, got {q.split(',')[0]}\n"
+
+
 def test_formula_json(capsys):
     code, out, _ = run_cli(
         capsys, "formula", "veronese-rees", "--c", "2", "--d", "2", "--json"

@@ -335,6 +335,44 @@ def test_an_hypersurface_engine_matches_semigroup_lattice(n, q):
     )
 
 
+@pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+@pytest.mark.parametrize("family, n, top", [
+    ("an-hypersurface", n, 60) for n in range(2, 6)
+] + [("an-extrees", n, 40) for n in range(2, 5)])
+def test_twin_preset_matches_engine_at_every_q(family, n, top, order):
+    """The A_n presets read q from their twin's quasi-polynomial once the
+    nodes of q's class sum to at most q, and count below that.  One preset
+    runs q downwards, so the large q are read before any small q is
+    counted, under the order its nodes are counted with."""
+    preset = getattr(presets, family.replace("-", "_"))(n, order)
+    p, _ = parse_presentation(presets.ENGINE_RINGS[family](n))
+    for q in range(top, 0, -1):
+        assert preset.counter(q) == frobenius_colength(p, q, order), q
+
+
+@pytest.mark.parametrize("family, n, qs, evaluated", [
+    ("an_hypersurface", 2, (16, 24, 32, 48, 64, 96), (2, 4, 6)),
+    ("an_hypersurface", 3, (8, 12, 16, 32, 64, 128), (1, 2, 4, 5, 7, 8, 12)),
+    ("an_extrees", 3, (7, 14), (7, 14)),
+])
+def test_twin_preset_evaluates_only_its_nodes(monkeypatch, family, n, qs,
+                                             evaluated):
+    """A q is counted when its class's nodes sum to more than q (8 and 12
+    for n = 3; 7 and 14 for an-extrees n = 3, P = 3), and read from the
+    nodes otherwise; each is counted once per preset, and a second preset
+    counts them all again."""
+    calls = []
+    monkeypatch.setattr(engine, "frobenius_colength",
+                        lambda p, q, order=None: calls.append(q)
+                        or frobenius_colength(p, q, order))
+    for _ in range(2):
+        preset = getattr(presets, family)(n)
+        for q in qs:
+            assert preset.counter(q) > 0
+        assert sorted(calls) == list(evaluated)
+        calls.clear()
+
+
 def is_reduced(gb):
     leads = [lead for lead, _ in gb]
     for lead, tail in gb:

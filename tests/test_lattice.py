@@ -711,6 +711,15 @@ def test_named_semigroups():
         semigroup_binomial_an(1)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_binomial_an_twin_is_normal_with_period_n(n):
+    """The A_n engine presets read large q from this twin's period: S is
+    normal, as ZS = {x = y mod n}, and k[S] has period n."""
+    s = semigroup_binomial_an(n)
+    assert toric.is_normal(s)
+    assert toric.period(s, 2) == n
+
+
 def test_parse_semigroup():
     s = parse_semigroup("sg: (3,0) (1,1) (0,3)")
     assert s.generators == ((0, 3), (1, 1), (3, 0))
