@@ -255,6 +255,11 @@ def main(argv=None) -> int:
         # a MemoryError, as from allocating a box, usually has no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
+    except (OverflowError, RecursionError) as exc:
+        # past what a counter can hold: a box side beyond the machine word,
+        # or one slab frame per variable beyond the recursion limit
+        print(f"error: too large to compute: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

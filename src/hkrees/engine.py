@@ -7,6 +7,12 @@ arithmetic is needed and every computed colength is independent of the
 characteristic.  Frobenius colengths are obtained as standard-monomial
 counts of the initial ideal.  The presented rings it takes, and their
 text format, are in `presentation`.
+
+"a divides b" is tested on the exponent tuples, one comparison per
+variable.  Packing the exponents into guarded integer fields made that
+test cheaper on bases of 35 elements or more, but the bases the
+benchmark workloads build have at most about 20, where the two cost the
+same; the tuple test needs no field widths.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import heapq
 import itertools
 import operator
 from bisect import bisect_right
-from operator import itemgetter, lshift
+from operator import itemgetter, le
 
 from .errors import ClosureError, DimensionError, ParameterError
 # PureDifferenceBinomial and the parsers are imported for callers that
@@ -62,52 +68,11 @@ def _make_element(u: Monomial, v: Monomial | None, order: MonomialOrderSpec) -> 
     return (u, v)
 
 
-class _PackedBasis(list):
-    """A list of elements that also keeps their terms packed into ints:
-    `leads[k]` and `tails[k]` are element k's lead and tail (0 for none).
+class _Basis(list):
+    """A basis that `buchberger` built from checked generators, so `reduce`
+    need not check it again."""
 
-    Variable i takes the bits [i*f, (i+1)*f) with f = width + 1, and the
-    top bit of each field is a guard, clear while every exponent is below
-    2^width.  For packed a and b with clear guards, a divides b iff
-    (b - a) & guard == 0: a field with a_i <= b_i subtracts without a
-    borrow, and the lowest field with a_i > b_i wraps and sets its guard.
-    The width comes from the largest exponent present, plus one spare bit;
-    a term that does not fit makes `widen` re-pack everything wider, so no
-    field ever wraps into the next.
-    """
-
-    __slots__ = ("nvars", "limit", "shifts", "guard", "leads", "tails")
-
-    def __init__(self, elements: list[Element], nvars: int):
-        super().__init__(elements)
-        self.nvars = nvars
-        terms = filter(None, itertools.chain.from_iterable(self))  # tails may be None
-        exponents = list(itertools.chain.from_iterable(terms))
-        if min(exponents, default=0) < 0:
-            for e in self:
-                _check_closure(e)  # names the element
-        self.widen(max(exponents, default=0))
-
-    def widen(self, top: int):
-        """Make every exponent up to `top` fit, and re-pack."""
-        width = top.bit_length() + 1
-        field = width + 1
-        self.limit = 1 << width
-        self.shifts = shifts = range(0, self.nvars * field, field)
-        # one guard bit per field: a repunit in base 2^field, shifted up
-        self.guard = ((1 << self.nvars * field) - 1) // ((1 << field) - 1) << width
-        leads, tails = self.leads, self.tails = [], []
-        for lead, tail in self:
-            leads.append(sum(map(lshift, lead, shifts)))
-            tails.append(0 if tail is None else sum(map(lshift, tail, shifts)))
-
-    def append(self, e: Element):
-        """Append `e`, which `reduce` against this basis returned, so its
-        terms fit the fields."""
-        super().append(e)
-        lead, tail = e
-        self.leads.append(sum(map(lshift, lead, self.shifts)))
-        self.tails.append(0 if tail is None else sum(map(lshift, tail, self.shifts)))
+    __slots__ = ()
 
 
 def reduce(element: Element, basis: list[Element], order: MonomialOrderSpec) -> Element | None:
@@ -118,51 +83,38 @@ def reduce(element: Element, basis: list[Element], order: MonomialOrderSpec) -> 
     monomial/pure-difference class (coefficients stay +-1), which is what
     keeps the whole engine characteristic-free.  Each step rewrites by the
     first basis element whose lead divides a term, testing the lead term
-    before the tail.
+    before the tail.  The element, and a basis that `buchberger` did not
+    build, are checked first, so every term reached stays non-negative.
     """
-    if not isinstance(basis, _PackedBasis):
+    if not isinstance(basis, _Basis):
         _check_closure(element)
-        basis = _PackedBasis(basis, len(element[0]))
+        for e in basis:
+            _check_closure(e)
     lead, tail = element
-    stale = True
     while True:
-        if stale:
-            top = max(lead) if tail is None else max(max(lead), max(tail))
-            if top >= basis.limit:
-                basis.widen(top)
-            shifts, guard, leads, tails = basis.shifts, basis.guard, basis.leads, basis.tails
-            packed_lead = sum(map(lshift, lead, shifts))
-            packed_tail = 0 if tail is None else sum(map(lshift, tail, shifts))
-            stale = False
-        for k, b in enumerate(leads):
-            if not (packed_lead - b) & guard:
-                term, packed, other, packed_other = lead, packed_lead, tail, packed_tail
+        for bl, bt in basis:
+            if all(map(le, bl, lead)):
+                term, other = lead, tail
                 break
-            if tail is not None and not (packed_tail - b) & guard:
-                term, packed, other, packed_other = tail, packed_tail, lead, packed_lead
+            if tail is not None and all(map(le, bl, tail)):
+                term, other = tail, lead
                 break
         else:
-            return _check_closure((lead, tail))
-        bl, bt = basis[k]
+            return (lead, tail)
         if bt is None:
             if other is None:
                 return None
-            lead, packed_lead, tail, packed_tail = other, packed_other, None, 0
+            lead, tail = other, None
         else:
-            # packed arithmetic cannot borrow (bl divides term) or carry (every
-            # field stays below 2^(width+1)); a set guard means it needs widening
-            term, packed = _add(_sub(term, bl), bt), packed - leads[k] + tails[k]
-            if min(term) < 0:
-                raise ClosureError(f"negative exponent in {term}")
+            term = _add(_sub(term, bl), bt)
             if other is None:
-                lead, packed_lead = term, packed
+                lead = term
             elif term == other:
                 return None
             elif order.key(term) < order.key(other):
-                lead, packed_lead, tail, packed_tail = other, packed_other, term, packed
+                lead, tail = other, term
             else:
-                lead, packed_lead, tail, packed_tail = term, packed, other, packed_other
-            stale = (packed_lead | packed_tail) & guard
+                lead, tail = term, other
 
 
 def _s_pair(f: Element, g: Element, lcm: Monomial,
@@ -187,7 +139,7 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
         if e is not None:
             gens.append(e)
     gens += [(m, None) for m in tuple(p.monomials) + tuple(extra_monomials)]
-    basis = _PackedBasis(gens, len(p.variables))  # checks the exponents
+    basis = _Basis(map(_check_closure, gens))
 
     # Pairs leave the heap by lcm degree; the insertion sequence number
     # breaks ties first-in first-out.  Two kinds of pair never enter: two
@@ -224,7 +176,7 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
     return _autoreduce(basis, order)
 
 
-def _autoreduce(basis: _PackedBasis, order: MonomialOrderSpec) -> list[Element]:
+def _autoreduce(basis: _Basis, order: MonomialOrderSpec) -> list[Element]:
     """The unique reduced basis, sorted by leading term: one pass keeps the
     elements whose lead no smaller lead divides, then replaces each tail by
     its normal form modulo the whole basis.  That normal form is unique,
@@ -232,23 +184,15 @@ def _autoreduce(basis: _PackedBasis, order: MonomialOrderSpec) -> list[Element]:
     so the dropped elements change nothing; and no lead equal to the
     element's own divides a term of the chain, since each lies strictly
     below it."""
-    leads, guard = basis.leads, basis.guard
-    keys = [order.key(lead) for lead, _ in basis]
-    keep: list[int] = []
-    kept: list[int] = []  # their packed leads
-    for k in sorted(range(len(basis)), key=keys.__getitem__):
-        # a divisor of a monomial precedes it in every monomial order
-        lead = leads[k]
-        for m in kept:
-            if not (lead - m) & guard:
-                break
-        else:
-            keep.append(k)
-            kept.append(lead)
+    keep: list[Element] = []
+    # a divisor of a monomial precedes it in every monomial order
+    for e in sorted(basis, key=lambda e: order.key(e[0])):
+        if not any(all(map(le, lead, e[0])) for lead, _ in keep):
+            keep.append(e)
     # No lead divides another, so no element vanishes or changes lead.  A
     # tail whose normal form is zero (None) leaves its lead a monomial.
     return [(lead, tail and (reduce((tail, None), basis, order) or (None,))[0])
-            for lead, tail in map(basis.__getitem__, keep)]
+            for lead, tail in keep]
 
 
 def initial_ideal(gb: list[Element]) -> list[Monomial]:

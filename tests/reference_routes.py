@@ -8,8 +8,9 @@ package computes another way, so the two routes check each other:
 - `fc_density`: the piecewise-polynomial density whose moments are the
   limits `hkrees.closed_forms.veronese_I_limits` evaluates as finite sums;
 - `buchberger_by_scan` and `reduce_by_scan`: the Buchberger engine with
-  exponent tuples compared entry by entry and its own monomial order keys,
-  against the packed divisibility tests of `hkrees.engine`;
+  its own divisibility test and monomial order keys, re-normalizing the
+  element after every step, against `hkrees.engine`, which rewrites one
+  term in place;
 - `count_standard_monomials_by_slabs`: standard monomials counted slab by
   slab, with a fresh staircase for every slab of the third-to-last
   variable, against the single staircase sweep of

@@ -748,6 +748,33 @@ def test_out_of_memory_exit_3(capsys, tmp_path, monkeypatch, exc, err):
     assert got == (3, "", err)
 
 
+@pytest.mark.parametrize("preset", ["semigroup", "semigroup-extrees"])
+def test_box_past_the_machine_word_exit_3(capsys, tmp_path, preset):
+    """At q = 10^20 the box of a non-normal S has a side that no C size
+    holds: one line and exit 3, not an OverflowError traceback."""
+    path = tmp_path / "sg.txt"
+    path.write_text("sg: (0,5) (2,1) (3,0)\n")
+    code, out, err = run_cli(capsys, "oracle", "--preset", preset, "--file", str(path),
+                             "--q", "100000000000000000000,200000000000000000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: too large to compute: ") and err.count("\n") == 1
+
+
+def test_recursion_limit_exit_3(capsys, monkeypatch):
+    """A count that recurses past the limit, as the slab recursion does at
+    about 1,000 variables, gives one line and exit 3.  n = 1 has no toric
+    twin, so the engine counts at q."""
+    from hkrees import engine
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(engine, "count_standard_monomials", too_deep)
+    got = run_cli(capsys, "oracle", "--preset", "an-hypersurface", "--n", "1",
+                  "--q", "2,4")
+    assert got == (3, "", "error: too large to compute: maximum recursion depth exceeded\n")
+
+
 def test_oracle_drops_repeated_semigroup_generators(capsys, tmp_path):
     plain, repeated = tmp_path / "plain.txt", tmp_path / "repeated.txt"
     plain.write_text("sg: (0,2) (1,1) (2,0)\n")

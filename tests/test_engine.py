@@ -22,7 +22,7 @@ from hkrees.engine import (
     parse_presentation,
     reduce,
 )
-from hkrees.errors import DimensionError, ParameterError
+from hkrees.errors import ClosureError, DimensionError, ParameterError
 from reference_routes import (
     buchberger_by_scan,
     count_standard_monomials_by_slabs,
@@ -86,19 +86,47 @@ def test_reduce_by_monomial_deletes_term():
     assert reduce(((3, 0), (0, 1)), basis, LEX) == ((0, 1), None)
 
 
-# z > y > x: rewriting along z - x^n grows the exponent of x, the lowest
-# field, so a field too narrow for it would spill into the fields above.
+@pytest.mark.parametrize("element, basis, words", [
+    (((-1, 0), None), [], "negative exponent"),
+    (((2, 0), (-1, 3)), [], "negative exponent"),
+    # a zero element is refused whether or not a basis element divides it
+    (((1, 1), (1, 1)), [((1, 0), None)], "unnormalized zero element"),
+    (((1, 1), (1, 1)), [((3, 0), None)], "unnormalized zero element"),
+    # a negative exponent in a basis lead, in a tail, or in an element that
+    # no rewriting step uses
+    (((2, 0), None), [((1, -1), None)], "negative exponent"),
+    (((2, 0), None), [((1, 0), (0, -1))], "negative exponent"),
+    (((2, 0), None), [((0, 5), (-1, 0))], "negative exponent"),
+], ids=["negative-lead", "negative-tail", "zero-reducible", "zero-irreducible",
+        "basis-lead", "basis-tail", "basis-unused"])
+def test_reduce_rejects_malformed_input(element, basis, words):
+    with pytest.raises(ClosureError, match=f"^{words}"):
+        reduce(element, basis, LEX)
+
+
+@pytest.mark.parametrize("binomials, monomials", [
+    ((PureDifferenceBinomial((1, 0), (0, -1)),), ()),
+    ((), ((1, -1),)),
+], ids=["binomial", "monomial"])
+def test_buchberger_rejects_negative_exponents(binomials, monomials):
+    p = PresentedQuotient(("x", "y"), binomials, monomials, 1)
+    with pytest.raises(ClosureError, match="^negative exponent"):
+        buchberger(p, LEX)
+
+
+# z > y > x: rewriting along z - x^n grows the exponent of x far past
+# every exponent of the input.
 ZYX = MonomialOrderSpec("lex", (2, 1, 0))
 
 
-# Three scales, so that the exponents outgrow a field of any fixed width
-# up to 64 bits and spill into the field of z.
+# Three scales, so that the exponents outgrow any fixed width up to 64
+# bits.
 WIDE = [2**40, 2**64, 2**140]
 
 
 @pytest.mark.parametrize("n", WIDE)
 def test_reduce_widens_fields_for_large_exponents(n):
-    # The fields are first sized for n; rewriting z^1000 (or the tail
+    # The input's exponents are at most n; rewriting z^1000 (or the tail
     # z^1000) needs exponents 1000 times larger.
     basis = [((0, 0, 1), (n, 0, 0))]
     assert reduce(((0, 0, 1000), None), basis, ZYX) == ((1000 * n, 0, 0), None)
@@ -149,7 +177,7 @@ def engine_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(engine_inputs(), st.data())
 def test_packed_engine_matches_scan_reference(case, data):
-    """The packed engine returns the scan-based engine's basis element for
+    """The engine returns the scan-based engine's basis element for
     element, in order, with and without powers (the path krull_dimension
     takes), and reduces against a plain list the same way."""
     p, order, powers = case

@@ -1,5 +1,7 @@
 """tests/src_lines.py sorts lines into code, docstring, comment and blank,
-and counts syntax-tree nodes."""
+and counts syntax-tree nodes; no module of src/hkrees passes the node cap."""
+
+from pathlib import Path
 
 from src_lines import line_kinds, node_count
 
@@ -16,3 +18,12 @@ def test_node_count_walks_the_whole_tree():
     # a comment and a blank line add no node; a docstring adds Expr, Constant
     assert node_count("# note\n\nx = 1\n") == 5
     assert node_count('"""Doc."""\nx = 1\n') == 7
+
+
+def test_no_module_passes_the_compile_peak_cap():
+    """No module of src/hkrees parses into more syntax-tree nodes than
+    lattice.py's 3,547, the cap on the peak cost of compiling one module."""
+    src = Path(__file__).resolve().parents[1] / "src" / "hkrees"
+    counts = {path.name: node_count(path.read_text(encoding="utf-8"))
+              for path in sorted(src.glob("*.py"))}
+    assert counts and max(counts.values()) <= 3547, counts
