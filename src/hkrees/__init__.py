@@ -1,10 +1,10 @@
 """Exact Hilbert-Kunz multiplicities for Rees-type ring families.
 
-Closed forms live in `closed_forms`, presented quotient rings and their
-text format in `presentation`, the characteristic-free Buchberger engine
-in `engine`, direct lattice counters in `lattice`, the Ehrhart
-quasi-polynomials of normal semigroups in `toric`, extrapolation in
-`estimator`, named families in `presets`, and invariant suites in `checks`.
+Closed forms live in `closed_forms`, presented quotient rings, their text
+format and the characteristic-free Buchberger engine in `engine`, direct
+lattice counters in `lattice`, the Ehrhart quasi-polynomials of normal
+semigroups in `toric`, extrapolation in `estimator`, named families in
+`presets`, and invariant suites in `checks`.
 """
 
 from .closed_forms import (

@@ -187,7 +187,7 @@ def veronese_rees_ehk(p: VeroneseParams) -> Fraction:
     if d < 2 or c < d:
         raise ParameterError(
             f"closed form needs c >= d >= 2, got (c, d) = ({c}, {d}); "
-            "use veronese_rees_ehk_general instead"
+            "use veronese_rees_ehk_general (CLI: veronese-rees-general) instead"
         )
     prod = math.prod(c + i for i in range(1, d))
     return Fraction(2 ** (d + 1) * c ** (d - 1), factorial(d + 1)) - Fraction(

@@ -1,9 +1,10 @@
 """tests/src_lines.py sorts lines into code, docstring, comment and blank,
-and counts syntax-tree nodes; no module of src/hkrees passes the node cap."""
+counts syntax-tree nodes and measures compile peaks; no module of
+src/hkrees passes the node cap."""
 
 from pathlib import Path
 
-from src_lines import line_kinds, node_count
+from src_lines import compile_peak, line_kinds, node_count
 
 
 def test_line_kinds_splits_code_docstrings_comments_and_blanks():
@@ -18,6 +19,11 @@ def test_node_count_walks_the_whole_tree():
     # a comment and a blank line add no node; a docstring adds Expr, Constant
     assert node_count("# note\n\nx = 1\n") == 5
     assert node_count('"""Doc."""\nx = 1\n') == 7
+
+
+def test_compile_peak_grows_with_the_source():
+    one = compile_peak("x = 1\n")
+    assert 0 < one < compile_peak("x = 1\n" * 1000)
 
 
 def test_no_module_passes_the_compile_peak_cap():
