@@ -7,7 +7,10 @@ format of `oracle --preset presentation --file`.  This class of generating
 sets is closed under S-pairs and reduction: every intermediate element is
 again a monomial or a pure difference, so no field arithmetic is needed and
 every computed colength is independent of the characteristic.  Frobenius
-colengths are obtained as standard-monomial counts of the initial ideal.
+colengths are obtained as standard-monomial counts of the initial ideal,
+from the leads of the basis as Buchberger's loop leaves it: in(J) = <LT(G)>
+for every Groebner basis G of J, so only `buchberger`'s own output pays
+for the inter-reduction.
 
 "a divides b" is tested on the exponent tuples, one comparison per
 variable.  Packing the exponents into guarded integer fields made that
@@ -204,8 +207,8 @@ def _make_element(u: Monomial, v: Monomial, order: MonomialOrderSpec) -> Element
 
 
 class _Basis(list):
-    """A basis that `buchberger` built from checked generators, so `reduce`
-    need not check it again."""
+    """A basis that `_groebner_basis` built from checked generators, so
+    `reduce` need not check it again."""
 
     __slots__ = ()
 
@@ -264,10 +267,12 @@ def _s_pair(f: Element, g: Element, lcm: Monomial,
     return _make_element(_add(_sub(lcm, lf), tf), _add(_sub(lcm, lg), tg), order)
 
 
-def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
-               extra_monomials: tuple[Monomial, ...] = ()) -> list[Element]:
-    """Reduced Groebner basis of the presentation ideal (plus any extra
-    monomial generators, e.g. Frobenius powers)."""
+def _groebner_basis(p: PresentedQuotient, order: MonomialOrderSpec,
+                    extra_monomials: tuple[Monomial, ...] = ()) -> _Basis:
+    """A Groebner basis of the presentation ideal (plus any extra monomial
+    generators, e.g. Frobenius powers) as Buchberger's loop leaves it: the
+    generators, then each new element in the order found, with leads that
+    need not be minimal and tails that need not be reduced."""
     gens: list[Element] = []
     for b in p.binomials:
         e = _make_element(b.plus, b.minus, order)
@@ -307,8 +312,14 @@ def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
             continue
         basis.append(r)
         push_pairs(len(basis) - 1)
+    return basis
 
-    return _autoreduce(basis, order)
+
+def buchberger(p: PresentedQuotient, order: MonomialOrderSpec,
+               extra_monomials: tuple[Monomial, ...] = ()) -> list[Element]:
+    """Reduced Groebner basis of the presentation ideal (plus any extra
+    monomial generators, e.g. Frobenius powers), sorted by leading term."""
+    return _autoreduce(_groebner_basis(p, order, extra_monomials), order)
 
 
 def _autoreduce(basis: _Basis, order: MonomialOrderSpec) -> list[Element]:
@@ -331,9 +342,10 @@ def _autoreduce(basis: _Basis, order: MonomialOrderSpec) -> list[Element]:
 
 
 def initial_ideal(gb: list[Element]) -> list[Monomial]:
-    """Minimal monomial generators of the initial ideal of a reduced
-    Groebner basis (as `buchberger` returns), sorted: its leads, which
-    reduction already made distinct and minimal."""
+    """Generators of the initial ideal of a Groebner basis, sorted: its
+    leads, since in(J) = <LT(G)> for every Groebner basis G of J.  For a
+    reduced basis (as `buchberger` returns) they are distinct and are the
+    minimal generators."""
     return sorted(e[0] for e in gb)
 
 
@@ -341,19 +353,29 @@ def krull_dimension(p: PresentedQuotient,
                     order: MonomialOrderSpec | None = None) -> int:
     """Krull dimension of the presented ring, read off the initial ideal of
     its relations: the size of the largest set of variables that contains
-    the support of no minimal leading term (-1 for the zero ring)."""
-    order = order or _LEX
-    gb = buchberger(p, order)
-    supports = {
-        frozenset(i for i, e in enumerate(m) if e)
-        for m in initial_ideal(gb)
-    }
-    nvars = len(p.variables)
-    for size in range(nvars, -1, -1):
-        for chosen in itertools.combinations(range(nvars), size):
-            if not any(s.issubset(chosen) for s in supports):
-                return size
-    return -1
+    the support of no leading term (-1 for the zero ring), that is, the
+    number of variables minus the size of a smallest set of variables that
+    meets every support.  Any Groebner basis serves: a lead that is not
+    minimal has a support that contains a minimal lead's support.
+
+    The variable of a one-variable support is in every such set.  Beyond
+    those, k more variables are searched for with k = 0, 1, ... in turn,
+    by branching on the variables of the first support, smallest first,
+    that no chosen variable meets, so the search has depth at most k.
+    """
+    supports = sorted({frozenset(i for i, e in enumerate(lead) if e)
+                       for lead, _ in _groebner_basis(p, order or _LEX)}, key=len)
+    if supports and not supports[0]:
+        return -1
+    forced = frozenset().union(*(s for s in supports if len(s) == 1))
+
+    def meets(chosen: frozenset[int], k: int) -> bool:
+        missed = next((s for s in supports if not s & chosen), None)
+        return missed is None or k > 0 and any(
+            meets(chosen | {v}, k - 1) for v in missed)
+
+    return len(p.variables) - len(forced) - next(
+        k for k in itertools.count() if meets(forced, k))
 
 
 def count_standard_monomials(gens: list[Monomial]) -> int:
@@ -455,12 +477,18 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
 def frobenius_colength(p: PresentedQuotient, q: int,
                        order: MonomialOrderSpec | None = None) -> int:
     """Colength of the q-th bracket power of the maximal ideal of the
-    presented quotient, via Groebner basis and standard-monomial count."""
+    presented quotient: the standard monomials of in(I + m^[q]).
+
+    That ideal is generated by the leading terms of any Groebner basis of
+    I + m^[q] (Cox-Little-O'Shea, ch. 2 par. 5), so the basis is counted
+    as Buchberger's loop leaves it, without the inter-reduction that
+    `buchberger` adds; `count_standard_monomials` takes a generating set
+    that is not minimal."""
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     if order is None:
         order = _LEX
     nvars = len(p.variables)
     powers = tuple((0,) * i + (q,) + (0,) * (nvars - 1 - i) for i in range(nvars))
-    gb = buchberger(p, order, extra_monomials=powers)
+    gb = _groebner_basis(p, order, extra_monomials=powers)
     return count_standard_monomials(initial_ideal(gb))

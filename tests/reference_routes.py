@@ -14,7 +14,11 @@ package computes another way, so the two routes check each other:
 - `count_standard_monomials_by_slabs`: standard monomials counted slab by
   slab, with a fresh staircase for every slab of the third-to-last
   variable, against the single staircase sweep of
-  `hkrees.engine.count_standard_monomials`.
+  `hkrees.engine.count_standard_monomials`;
+- `krull_dimension_by_subsets`: the Krull dimension by trying every set
+  of variables from the largest down, on the minimal leads of the scan
+  engine's reduced basis, against the minimum hitting set search of
+  `hkrees.engine.krull_dimension` on the leads of an unreduced basis.
 """
 
 from __future__ import annotations
@@ -223,3 +227,17 @@ def count_standard_monomials_by_slabs(gens):
             total += (active[k][idx] - lo) * count(idx + 1, active[:k])
 
     return count(0, list(gens))
+
+
+def krull_dimension_by_subsets(p, order):
+    """Krull dimension of the presented ring: the size of the largest set
+    of variables that contains the support of no minimal leading term of
+    the reduced basis (-1 for the zero ring)."""
+    supports = {frozenset(i for i, e in enumerate(lead) if e)
+                for lead, _ in buchberger_by_scan(p, order)}
+    nvars = len(p.variables)
+    for size in range(nvars, -1, -1):
+        for chosen in itertools.combinations(range(nvars), size):
+            if not any(s.issubset(chosen) for s in supports):
+                return size
+    return -1

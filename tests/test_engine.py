@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from hkrees.errors import ClosureError, DimensionError, ParameterError
 from reference_routes import (
     buchberger_by_scan,
     count_standard_monomials_by_slabs,
+    krull_dimension_by_subsets,
     reduce_by_scan,
 )
 
@@ -178,8 +180,8 @@ def engine_inputs(draw):
 @given(engine_inputs(), st.data())
 def test_packed_engine_matches_scan_reference(case, data):
     """The engine returns the scan-based engine's basis element for
-    element, in order, with and without powers (the path krull_dimension
-    takes), and reduces against a plain list the same way."""
+    element, in order, with and without powers, and reduces against a
+    plain list the same way."""
     p, order, powers = case
     assert buchberger(p, order, powers) == buchberger_by_scan(p, order, powers)
     assert buchberger(p, order) == buchberger_by_scan(p, order)
@@ -211,15 +213,41 @@ LADDERS = [
 @pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
 def test_packed_engine_matches_scan_reference_on_ladders(text, qs, order):
     """The basis, and the count of its initial ideal, match the reference
-    routes at every ring and q of the ladder."""
+    routes at every ring and q of the ladder; the colength, counted from
+    the unreduced basis, matches the count of the reduced one."""
     p, _ = parse_presentation(text)
     nvars = len(p.variables)
     for q in qs:
         powers = tuple(tuple(q if j == i else 0 for j in range(nvars)) for i in range(nvars))
-        gb = buchberger(p, order, powers)
-        assert gb == buchberger_by_scan(p, order, powers)
-        gens = initial_ideal(gb)
+        reference = buchberger_by_scan(p, order, powers)
+        assert buchberger(p, order, powers) == reference
+        gens = initial_ideal(reference)
         assert count_standard_monomials(gens) == count_standard_monomials_by_slabs(gens)
+        assert frobenius_colength(p, q, order) == count_standard_monomials_by_slabs(gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_inputs().filter(lambda case: case[2]))
+def test_colength_of_unreduced_basis_matches_reduced_route(case):
+    """in(I + m^[q]) is generated by the leads of any Groebner basis, so
+    counting the basis Buchberger's loop leaves gives the count of the
+    reduced basis."""
+    p, order, powers = case
+    q = max(powers[0])
+    reduced = buchberger(p, order, powers)
+    assert frobenius_colength(p, q, order) == count_standard_monomials(initial_ideal(reduced))
+
+
+def test_colength_skips_the_inter_reduction(monkeypatch):
+    """The colength never reduces the basis: with `_autoreduce` raising,
+    the polynomial ring in 600 variables still gives 2^600 at q = 2."""
+    def refuse(basis, order):
+        raise AssertionError("the colength route reduced the basis")
+
+    monkeypatch.setattr(engine, "_autoreduce", refuse)
+    names = " ".join(f"x{i}" for i in range(600))
+    p, _ = parse_presentation(f"vars: {names}\ndim: 600\n")
+    assert frobenius_colength(p, 2) == 2**600
 
 
 def test_buchberger_coprime_leads_unchanged():
@@ -484,6 +512,48 @@ def test_krull_dimension_of_relations():
         PresentedQuotient(("x", "y", "z"), (), ((1, 0, 0), (0, 1, 0)), 1)
     ) == 1
     assert krull_dimension(PresentedQuotient(("x",), (), ((0,),), 1)) == -1
+
+
+def test_krull_dimension_of_many_variables():
+    """x_0, ..., x_19 in 40 variables leave 20: the subset sweep would try
+    every set of more than 20 of the 40 variables first, while the 20
+    singleton supports force their variables, so the search never
+    branches."""
+    names = [f"x{i}" for i in range(40)]
+    text = "vars: " + " ".join(names) + "\n" + "".join(
+        f"mono: {name}\n" for name in names[:20]) + "dim: 20\n"
+    p, _ = parse_presentation(text)
+    start = time.perf_counter()
+    assert krull_dimension(p) == krull_dimension(p, GREVLEX) == 20
+    assert presets.presentation(p).dimension == 20
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def sparse_presentations(draw):
+    """A random presentation with 1-10 variables and up to 3 binomials and
+    3 monomials, each monomial on at most 3 variables with exponents 1-2.
+    A binomial's term may be 1, so that some rings are zero."""
+    nvars = draw(st.integers(1, 10))
+
+    def sparse(min_size):
+        return st.dictionaries(st.integers(0, nvars - 1), st.integers(1, 2),
+                               min_size=min_size, max_size=3).map(
+            lambda d: tuple(d.get(i, 0) for i in range(nvars)))
+
+    pairs = st.tuples(sparse(1), sparse(0)).filter(lambda b: b[0] != b[1])
+    binomials = tuple(PureDifferenceBinomial(*b)
+                      for b in draw(st.lists(pairs, max_size=3)))
+    monomials = tuple(draw(st.lists(sparse(1), max_size=3)))
+    return PresentedQuotient(tuple(f"x{i}" for i in range(nvars)), binomials, monomials, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_presentations(), st.sampled_from([LEX, GREVLEX]))
+def test_krull_dimension_matches_subset_sweep(p, order):
+    """The minimum hitting set over the unreduced leads gives the subset
+    sweep's dimension over the reduced ones."""
+    assert krull_dimension(p, order) == krull_dimension_by_subsets(p, order)
 
 
 @pytest.mark.parametrize("family, params", [
