@@ -11,8 +11,8 @@ published reference values are known to disagree with each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import closed_forms as cf
 from . import lattice, presets, toric
@@ -22,8 +22,7 @@ from .estimator import estimate  # noqa: F401
 from .exact import factorial, format_fraction
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str  # pass | fail | report-only
     lhs: str
@@ -31,13 +30,9 @@ class CheckResult:
     citation: str
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.check_id,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "note": self.citation,
-        }
+        """The JSON record: the fields in order, check_id keyed as "id" and
+        citation as "note"."""
+        return dict(zip(("id", "status", "lhs", "rhs", "note"), self))
 
 
 def _cmp(check_id: str, ok: bool | None, lhs, rhs, citation: str) -> CheckResult:

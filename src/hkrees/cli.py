@@ -12,7 +12,6 @@ Exit codes: 0 ok, 1 check failure, 2 usage error, 3 computation error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -85,7 +84,7 @@ def cmd_formula(args) -> int:
                 (fs for fs, _ in FORMULAS.values()))
     value = value_of(*(getattr(args, f) for f in flags))
     if isinstance(value, cf.CiReesValues):
-        doc = {k: format_fraction(x) for k, x in vars(value).items()}
+        doc = {k: format_fraction(x) for k, x in value._asdict().items()}
         if args.json:
             print(json.dumps(doc, sort_keys=True))
         else:
@@ -143,8 +142,8 @@ def _grid_values(args) -> list[int]:
 def cmd_oracle(args) -> int:
     preset = _build_preset(args)
     if args.cache_dir is not None:
-        preset = dataclasses.replace(
-            preset, counter=cached_counter(preset, _cache(args.cache_dir)))
+        preset = preset._replace(
+            counter=cached_counter(preset, _cache(args.cache_dir)))
     samples = [preset.sample(q) for q in sorted(set(_grid_values(args)))]
     est = estimate(samples, preset.dimension)
     doc = est.to_dict()

@@ -10,35 +10,36 @@ density whose moments are the I_k limits) are in tests/reference_routes.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .exact import binomial, factorial, stirling2
 
 
-@dataclass(frozen=True)
-class SegreParams:
+class SegreParams(namedtuple("SegreParams", "c d")):
     """Segre product of polynomial rings with c and d variables."""
 
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c < 1 or self.d < 1:
+    def __new__(cls, c: int, d: int):
+        self = super().__new__(cls, c, d)
+        if c < 1 or d < 1:
             raise ParameterError(f"Segre factors need >= 1 variable, got {self}")
+        return self
 
 
-@dataclass(frozen=True)
-class VeroneseParams:
+class VeroneseParams(namedtuple("VeroneseParams", "c d")):
     """Degree-c Veronese subring of a polynomial ring in d variables."""
 
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c < 1 or self.d < 1:
+    def __new__(cls, c: int, d: int):
+        self = super().__new__(cls, c, d)
+        if c < 1 or d < 1:
             raise ParameterError(f"Veronese params must be >= 1, got {self}")
+        return self
 
 
 def alpha(d: int, n: int) -> int:
@@ -277,8 +278,7 @@ def veronese_rees_ehk_general(p: VeroneseParams) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class CiReesValues:
+class CiReesValues(NamedTuple):
     """Multiplicities of the (extended) Rees algebra of (x^m, y^n) in k[x, y]."""
 
     e_rees: Fraction

@@ -25,7 +25,7 @@ import heapq
 import itertools
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter, le
 
 from .errors import ClosureError, DimensionError, ParameterError
@@ -34,19 +34,40 @@ from .exact import parse_int
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class MonomialOrderSpec:
-    """A lex or graded-reverse-lex order; permutation[0] is the largest variable."""
+    """A lex or graded-reverse-lex order; permutation[0] is the largest variable.
 
-    kind: str = "lex"
-    permutation: tuple[int, ...] | None = None
+    An immutable `__slots__` class rather than a namedtuple: `key` runs on
+    every term comparison, and Python reads a slot faster than a
+    namedtuple field."""
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex"):
-            raise ParameterError(f"unknown order kind {self.kind!r}")
-        if self.permutation is not None:
-            if sorted(self.permutation) != list(range(len(self.permutation))):
-                raise ParameterError(f"not a permutation: {self.permutation}")
+    __slots__ = ("kind", "permutation")
+
+    def __init__(self, kind: str = "lex", permutation: tuple[int, ...] | None = None):
+        if kind not in ("lex", "grevlex"):
+            raise ParameterError(f"unknown order kind {kind!r}")
+        if permutation is not None:
+            if sorted(permutation) != list(range(len(permutation))):
+                raise ParameterError(f"not a permutation: {permutation}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "permutation", permutation)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: the order is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.permutation) == (other.kind, other.permutation)
+
+    def __hash__(self):
+        return hash((self.kind, self.permutation))
+
+    def __repr__(self):
+        return "MonomialOrderSpec(kind={!r}, permutation={!r})".format(
+            self.kind, self.permutation)
 
     def key(self, m: Monomial):
         if self.permutation is not None:
@@ -56,33 +77,32 @@ class MonomialOrderSpec:
         return (sum(m), tuple(map(operator.neg, reversed(m))))
 
 
-@dataclass(frozen=True)
-class PureDifferenceBinomial:
-    plus: Monomial
-    minus: Monomial
+class PureDifferenceBinomial(namedtuple("PureDifferenceBinomial", "plus minus")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.plus == self.minus:
+    def __new__(cls, plus: Monomial, minus: Monomial):
+        if plus == minus:
             raise ParameterError("binomial with equal terms is zero")
-        if len(self.plus) != len(self.minus):
+        if len(plus) != len(minus):
             raise ParameterError("mismatched variable counts")
+        return super().__new__(cls, plus, minus)
 
 
-@dataclass(frozen=True)
-class PresentedQuotient:
+class PresentedQuotient(namedtuple(
+        "PresentedQuotient", "variables binomials monomials dimension")):
     """A graded quotient ring: variables, pure-difference binomial relations,
     monomial relations, and its declared Krull dimension."""
 
-    variables: tuple[str, ...]
-    binomials: tuple[PureDifferenceBinomial, ...] = ()
-    monomials: tuple[Monomial, ...] = ()
-    dimension: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.variables) < 1:
+    def __new__(cls, variables: tuple[str, ...],
+                binomials: tuple[PureDifferenceBinomial, ...] = (),
+                monomials: tuple[Monomial, ...] = (), dimension: int = 1):
+        if len(variables) < 1:
             raise ParameterError("need at least one variable")
-        if self.dimension < 1:
+        if dimension < 1:
             raise ParameterError("dimension must be >= 1")
+        return super().__new__(cls, variables, binomials, monomials, dimension)
 
 
 def parse_monomial(text: str, variables: list[str]) -> Monomial:

@@ -8,27 +8,26 @@ l/q^d; the spread of the last few A-estimates serves as an error bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .exact import format_fraction
 
 
-@dataclass(frozen=True)
-class ColengthSample:
-    q: int
-    count: int
+class ColengthSample(namedtuple("ColengthSample", "q count")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise ParameterError(f"q must be >= 1, got {self.q}")
-        if self.count < 0:
-            raise ParameterError(f"count must be >= 0, got {self.count}")
+    def __new__(cls, q: int, count: int):
+        if q < 1:
+            raise ParameterError(f"q must be >= 1, got {q}")
+        if count < 0:
+            raise ParameterError(f"count must be >= 0, got {count}")
+        return super().__new__(cls, q, count)
 
 
-@dataclass(frozen=True)
-class HKEstimate:
+class HKEstimate(NamedTuple):
     samples: tuple[ColengthSample, ...]
     dimension: int
     leading: Fraction

@@ -66,8 +66,9 @@ def parse_int(text: str) -> int:
 
 
 def format_fraction(x: Fraction | int) -> str:
-    """Serialize as "p/q", or plain "p" for integers."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize as "p/q", or plain "p" for integers, which is how `str`
+    spells an int or a Fraction.  Anything else, a bool included (as 0 or
+    1), goes through Fraction first."""
+    if type(x) is int:
+        return str(x)
+    return str(x if isinstance(x, Fraction) else Fraction(x))

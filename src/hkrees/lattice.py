@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import toric
 from .errors import DimensionError, ParameterError
@@ -166,8 +167,7 @@ def veronese_rees_colength(c: int, d: int, q: int,
 # Monomial ideals in k[x, y] and their Rees algebras
 
 
-@dataclass(frozen=True)
-class MonomialIdeal2D:
+class MonomialIdeal2D(NamedTuple):
     """A monomial ideal in two variables, stored as its minimal staircase:
     generators sorted with x-exponents strictly increasing and y-exponents
     strictly decreasing."""
@@ -394,22 +394,22 @@ def ci_rees_colength(m: int, n: int, q: int) -> int:
 # 2D affine semigroup rings
 
 
-@dataclass(frozen=True)
-class Semigroup2D:
+class Semigroup2D(namedtuple("Semigroup2D", "generators")):
     """Subsemigroup of Z^2 generated by (a_i, b_i), normalized so that
     a_0 = 0 < a_1 < ... < a_s = a and b_s = 0 < b_{s-1} < ... < b_0 = b.
     Then (0, b) and (a, 0) are generators, so ZS has rank 2."""
 
-    generators: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = self.generators
+    def __new__(cls, generators: tuple[tuple[int, int], ...]):
+        g = generators
         if len(g) < 2:
             raise ParameterError("need at least two generators")
         if g[0][0] != 0 or any(x[0] >= y[0] for x, y in zip(g, g[1:])):
             raise ParameterError(f"a_i must satisfy 0 = a_0 < ... < a_s: {g}")
         if g[-1][1] != 0 or any(x[1] <= y[1] for x, y in zip(g, g[1:])):
             raise ParameterError(f"b_i must satisfy b_s = 0 < ... < b_0: {g}")
+        return super().__new__(cls, g)
 
     @property
     def a(self) -> int:

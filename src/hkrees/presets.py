@@ -17,9 +17,8 @@ at most q, and runs the engine at q below that.  `ci_extrees` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
 from . import engine, lattice, toric
@@ -43,8 +42,7 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     description: str
     dimension: int
     counter: Callable[[int], int]

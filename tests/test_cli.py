@@ -580,6 +580,26 @@ def test_oracle_output_identical_with_and_without_cache(capsys, tmp_path):
     assert plain == first == second
 
 
+def test_cached_oracle_keeps_the_preset_fields(capsys, tmp_path):
+    """--cache-dir swaps only the counter: the samples keep veronese-rees'
+    q_scale, and the description and target are the preset's own."""
+    argv = ["oracle", "--preset", "veronese-rees", "--c", "2", "--d", "2",
+            "--q", "2,4", "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    preset = presets.veronese_rees(2, 2)
+    for _ in range(2):  # cold, then warm
+        code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (0, plain)
+        doc = json.loads(out)
+        assert [q for q, _ in doc["samples"]] == [4, 8]
+        assert doc["preset"] == preset.description
+        assert doc["target"] == "13/6" == str(preset.target)
+    entries = ColengthCache(os.path.join(tmp_path, "colengths.jsonl")).entries()
+    key = _key(preset.description)  # the grid q, as the counter takes it
+    assert {(e["hash"], e["q"]) for e in entries} == {(key, 2), (key, 4)}
+
+
 def test_oracle_deterministic(capsys):
     argv = ["oracle", "--preset", "an-extrees", "--n", "3", "--q", "2,4"]
     _, a, _ = run_cli(capsys, *argv)

@@ -107,6 +107,10 @@ def test_fraction_round_trip():
     assert format_fraction(Fraction(4, 3)) == "4/3"
     assert format_fraction(Fraction(6, 3)) == "2"
     assert format_fraction(5) == "5"
+    assert format_fraction(-5) == "-5"
+    assert format_fraction(Fraction(-7, 2)) == "-7/2"
+    assert format_fraction(True) == "1"  # through Fraction, not str(True)
+    assert format_fraction(0.75) == "3/4"
     assert Fraction(format_fraction(Fraction(899, 360))) == Fraction(899, 360)
 
 
