@@ -6,16 +6,18 @@ Commands:
   check    run an inequality/identity suite
   cache    inspect or clear a colength cache directory
 
+`hkrees COMMAND -h` shows a command's arguments.  Flags are written in
+full, as `--flag value` or `--flag=value`.
+
 Exit codes: 0 ok, 1 check failure, 2 usage error, 3 computation error.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import closed_forms as cf
 from . import checks, engine, lattice, presets
@@ -195,61 +197,103 @@ def cmd_cache(args) -> int:
     return 0
 
 
-# No argument has a mutable default, so one parser serves every call.
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hkrees",
-        description="Exact Hilbert-Kunz multiplicities of Rees-type families",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_INTS = dict.fromkeys(("c", "d", "m", "n"), parse_int)
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+# Each command: its function, the name of its positional argument (or None),
+# its arguments and the required ones.  An argument's entry is `parse_int`,
+# its choices, the word its usage shows for free text, or `bool` for --json,
+# which takes no value.  Every argument but the positional is a --flag.
+COMMANDS = {
+    "formula": (cmd_formula, "family", {"family": FORMULAS, **_INTS, "ds": "LIST",
+                                        "es": "LIST", "json": bool}, ("family",)),
+    "oracle": (cmd_oracle, None, {
+        "preset": presets.FAMILIES, **_INTS, "file": "FILE", "q": "LIST",
+        "grid": "pow2|primepow:P", "order": ("lex", "grevlex"), "cache-dir": "DIR",
+        "json": bool}, ("preset",)),
+    "check": (cmd_check, None, {"suite": checks.SUITES, "json": bool}, ("suite",)),
+    "cache": (cmd_cache, "action", {"action": ("inspect", "clear"), "cache-dir": "DIR",
+                                    "json": bool}, ("action", "cache-dir")),
+}
 
-    def add_params(p):
-        for flag in ("c", "d", "m", "n"):
-            p.add_argument(f"--{flag}", type=parse_int)
 
-    f = sub.add_parser("formula", help="evaluate a closed form")
-    f.add_argument("family", choices=list(FORMULAS))
-    add_params(f)
-    f.add_argument("--ds", help="comma list of first exponent block")
-    f.add_argument("--es", help="comma list of second exponent block")
-    add_common(f)
-    f.set_defaults(func=cmd_formula)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: hkrees {" + ",".join(COMMANDS) + "} ..."
+    _, positional, flags, required = COMMANDS[command]
+    words = ["usage: hkrees", command]
+    for name, kind in flags.items():
+        word = ("" if kind is bool else "INT" if kind is parse_int else kind
+                if isinstance(kind, str) else "{" + ",".join(kind) + "}")
+        if name != positional:
+            word = f"--{name} {word}".rstrip()
+        words.append(word if name in required else f"[{word}]")
+    return " ".join(words)
 
-    o = sub.add_parser("oracle", help="finite-q colengths and estimate")
-    o.add_argument("--preset", required=True, choices=list(presets.FAMILIES))
-    add_params(o)
-    o.add_argument("--file", help="semigroup or presentation file")
-    o.add_argument("--q", help="comma list of grid values (default 8,16,32)")
-    o.add_argument("--grid", help="pow2 (default; --q taken literally) or "
-                   "primepow:p (--q entries are exponents of p)")
-    o.add_argument("--order", choices=["lex", "grevlex"])
-    o.add_argument("--cache-dir", help="directory for the colength cache")
-    add_common(o)
-    o.set_defaults(func=cmd_oracle)
 
-    k = sub.add_parser("check", help="run an invariant suite")
-    k.add_argument("--suite", required=True, choices=list(checks.SUITES))
-    add_common(k)
-    k.set_defaults(func=cmd_check)
+def _usage_error(command: str | None, message: str):
+    print(_usage(command), f"error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
-    c = sub.add_parser("cache", help="inspect or clear the colength cache")
-    c.add_argument("action", choices=["inspect", "clear"])
-    c.add_argument("--cache-dir", required=True)
-    add_common(c)
-    c.set_defaults(func=cmd_cache)
 
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its arguments from `argv`, in one walk over the
+    command's table: `--flag value` or `--flag=value`, the last of a
+    repeated flag winning, and every flag not given None (--json False).
+    A usage error prints the usage and exits 2; -h or --help prints help
+    and exits 0."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(__doc__ or _usage(None))
+        raise SystemExit(0)
+    if command not in COMMANDS:
+        _usage_error(None, f"unknown command {command!r}" if argv
+                     else "a command is required")
+    _, positional, flags, required = COMMANDS[command]
+    args = {f.replace("-", "_"): False if k is bool else None for f, k in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_usage(command))
+            raise SystemExit(0)
+        if token.startswith("--"):
+            name, eq, value = token[2:].partition("=")
+            kind = None if name == positional else flags.get(name)
+        elif positional and args[positional] is None:
+            name, eq, value = positional, True, token
+            kind = flags[name]
+        else:
+            kind = None
+        if kind is None:
+            _usage_error(command, f"unrecognized argument {token!r}")
+        if kind is bool:
+            if eq:
+                _usage_error(command, f"--{name} takes no value")
+            args[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                _usage_error(command, f"--{name} needs a value")
+        if kind is parse_int:
+            try:
+                value = parse_int(value)
+            except ValueError:
+                _usage_error(command, f"--{name}: invalid integer {value!r}")
+        elif not isinstance(kind, str) and value not in kind:
+            _usage_error(command, f"invalid {name} {value!r} (choose from "
+                         + ", ".join(kind) + ")")
+        args[name.replace("-", "_")] = value
+    missing = [f if f == positional else f"--{f}" for f in required
+               if args[f.replace("-", "_")] is None]
+    if missing:
+        _usage_error(command, "missing " + ", ".join(missing))
+    return SimpleNamespace(command=command, **args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, ClosureError, OSError, MemoryError) as exc:
         # a MemoryError, as from allocating a box, usually has no text
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -22,6 +22,7 @@ class SegreParams(namedtuple("SegreParams", "c d")):
     """Segre product of polynomial rings with c and d variables."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
 
     def __new__(cls, c: int, d: int):
         self = super().__new__(cls, c, d)
@@ -34,6 +35,7 @@ class VeroneseParams(namedtuple("VeroneseParams", "c d")):
     """Degree-c Veronese subring of a polynomial ring in d variables."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
 
     def __new__(cls, c: int, d: int):
         self = super().__new__(cls, c, d)

@@ -79,6 +79,7 @@ class MonomialOrderSpec:
 
 class PureDifferenceBinomial(namedtuple("PureDifferenceBinomial", "plus minus")):
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
 
     def __new__(cls, plus: Monomial, minus: Monomial):
         if plus == minus:
@@ -94,6 +95,7 @@ class PresentedQuotient(namedtuple(
     monomial relations, and its declared Krull dimension."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
 
     def __new__(cls, variables: tuple[str, ...],
                 binomials: tuple[PureDifferenceBinomial, ...] = (),

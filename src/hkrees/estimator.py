@@ -18,6 +18,7 @@ from .exact import format_fraction
 
 class ColengthSample(namedtuple("ColengthSample", "q count")):
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
 
     def __new__(cls, q: int, count: int):
         if q < 1:

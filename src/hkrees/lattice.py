@@ -400,6 +400,7 @@ class Semigroup2D(namedtuple("Semigroup2D", "generators")):
     Then (0, b) and (a, 0) are generators, so ZS has rank 2."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
 
     def __new__(cls, generators: tuple[tuple[int, int], ...]):
         g = generators

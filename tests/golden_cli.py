@@ -1,14 +1,14 @@
 """Golden CLI runs: a fixed argv set through `hkrees.cli.main`, with the
-stdout, exit code and stderr of every run (argparse's own text aside).
+stdout, exit code and stderr of every run (usage text aside).
 
     PYTHONPATH=src python tests/golden_cli.py           # compare, exit 1 on a diff
     PYTHONPATH=src python tests/golden_cli.py --write   # regenerate golden_cli.json
 
 Runs go in order through one temporary directory, whose path is written
-as <TMP>, so cached runs can read what earlier runs stored.  Argparse's own
-usage and error text differs between Python versions, so it is not
-recorded; the `--preset`, `formula` and `--suite` choice lists are
-recorded instead.  Every other stderr line is.
+as <TMP>, so cached runs can read what earlier runs stored.  A usage error's
+stderr, which starts with its usage text, is not recorded; the `--preset`,
+`formula` and `--suite` choice lists that usage text shows are recorded
+instead.  Every other stderr line is.
 """
 
 from __future__ import annotations
@@ -229,14 +229,9 @@ def cases() -> list[list[str]]:
 
 def choice_lists() -> dict[str, list[str]]:
     """The choices of `formula FAMILY`, `oracle --preset` and `check --suite`."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    out = {}
-    for command, dest in (("formula", "family"), ("oracle", "preset"),
-                          ("check", "suite")):
-        action = next(a for a in sub.choices[command]._actions if a.dest == dest)
-        out[f"{command} {dest}"] = list(action.choices)
-    return out
+    return {f"{command} {name}": list(cli.COMMANDS[command][2][name])
+            for command, name in (("formula", "family"), ("oracle", "preset"),
+                                  ("check", "suite"))}
 
 
 def run_one(argv: list[str], tmp: str) -> dict:

@@ -18,21 +18,27 @@ package computes another way, so the two routes check each other:
 - `krull_dimension_by_subsets`: the Krull dimension by trying every set
   of variables from the largest down, on the minimal leads of the scan
   engine's reduced basis, against the minimum hitting set search of
-  `hkrees.engine.krull_dimension` on the leads of an unreduced basis.
+  `hkrees.engine.krull_dimension` on the leads of an unreduced basis;
+- `build_parser`: the argparse parser the CLI used before it parsed argv
+  from its own command tables, against `hkrees.cli.parse_args`.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import heapq
 import itertools
 import math
 import operator
 from fractions import Fraction
 
+from hkrees import checks, presets
+from hkrees.cli import FORMULAS, cmd_cache, cmd_check, cmd_formula, cmd_oracle
 from hkrees.closed_forms import VeroneseParams, alpha
 from hkrees.engine import _add, _check_closure, _lcm, _sub
 from hkrees.errors import DimensionError, ParameterError
-from hkrees.exact import binomial, factorial
+from hkrees.exact import binomial, factorial, parse_int
 
 
 def stirling2_by_sum(n: int, k: int) -> int:
@@ -241,3 +247,54 @@ def krull_dimension_by_subsets(p, order):
             if not any(s.issubset(chosen) for s in supports):
                 return size
     return -1
+
+
+# No argument has a mutable default, so one parser serves every call.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hkrees",
+        description="Exact Hilbert-Kunz multiplicities of Rees-type families",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output")
+
+    def add_params(p):
+        for flag in ("c", "d", "m", "n"):
+            p.add_argument(f"--{flag}", type=parse_int)
+
+    f = sub.add_parser("formula", help="evaluate a closed form")
+    f.add_argument("family", choices=list(FORMULAS))
+    add_params(f)
+    f.add_argument("--ds", help="comma list of first exponent block")
+    f.add_argument("--es", help="comma list of second exponent block")
+    add_common(f)
+    f.set_defaults(func=cmd_formula)
+
+    o = sub.add_parser("oracle", help="finite-q colengths and estimate")
+    o.add_argument("--preset", required=True, choices=list(presets.FAMILIES))
+    add_params(o)
+    o.add_argument("--file", help="semigroup or presentation file")
+    o.add_argument("--q", help="comma list of grid values (default 8,16,32)")
+    o.add_argument("--grid", help="pow2 (default; --q taken literally) or "
+                   "primepow:p (--q entries are exponents of p)")
+    o.add_argument("--order", choices=["lex", "grevlex"])
+    o.add_argument("--cache-dir", help="directory for the colength cache")
+    add_common(o)
+    o.set_defaults(func=cmd_oracle)
+
+    k = sub.add_parser("check", help="run an invariant suite")
+    k.add_argument("--suite", required=True, choices=list(checks.SUITES))
+    add_common(k)
+    k.set_defaults(func=cmd_check)
+
+    c = sub.add_parser("cache", help="inspect or clear the colength cache")
+    c.add_argument("action", choices=["inspect", "clear"])
+    c.add_argument("--cache-dir", required=True)
+    add_common(c)
+    c.set_defaults(func=cmd_cache)
+
+    return parser

@@ -1,5 +1,7 @@
 """Tests for presets, the cache, and the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,8 +16,10 @@ import hkrees
 from hkrees import cache as cache_mod
 from hkrees import presets
 from hkrees.cache import ENGINE_VERSION, ColengthCache, _key, cached_counter
-from hkrees.cli import main
+from hkrees.cli import COMMANDS, main, parse_args
 from hkrees.errors import ParameterError
+from hkrees.exact import parse_int
+from reference_routes import build_parser
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +378,126 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, shows", [
+    (["-h"], "Exit codes: 0 ok, 1 check failure, 2 usage error"),
+    (["--help"], "  oracle   compute finite-q colength samples"),
+    (["oracle", "--help"], "[--cache-dir DIR]"),
+    (["formula", "segre", "--c", "2", "-h"], "usage: hkrees formula {segre,"),
+    (["cache", "-h", "--bogus"], "usage: hkrees cache {inspect,clear} --cache-dir DIR"),
+])
+def test_help_prints_and_exits_0(capsys, argv, shows):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "") and shows in out
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "error: a command is required"),
+    (["--json"], "error: unknown command '--json'"),
+    (["oracle", "--pre", "segre"], "error: unrecognized argument '--pre'"),
+    (["cache", "inspect", "--c", "x"], "error: unrecognized argument '--c'"),
+    (["formula", "--family", "segre"], "error: unrecognized argument '--family'"),
+    (["formula", "segre", "--json=1"], "error: --json takes no value"),
+    (["formula", "segre", "--c", "--d", "2"], "error: --c needs a value"),
+    (["oracle", "--preset", "segre", "--q"], "error: --q needs a value"),
+    (["cache", "--cache-dir", "x"], "error: missing action"),
+    (["cache"], "error: missing action, --cache-dir"),
+])
+def test_usage_errors_print_usage_then_error(capsys, argv, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, got = capsys.readouterr()
+    usage, message = got.splitlines()
+    assert (exc.value.code, out, message) == (2, "", err)
+    command = argv[0] if argv and argv[0] in COMMANDS else "{formula,"
+    assert usage.startswith(f"usage: hkrees {command}")
+
+
+def test_flag_values_may_start_with_one_dash(capsys):
+    """Only a token starting with -- is refused as a value, so `--q -1,2`
+    reads like `--q=-1,2`; a negative flag value is a computation error."""
+    argv = ["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid",
+            "primepow:3"]
+    assert run_cli(capsys, *argv, "--q", "-1,2") == run_cli(capsys, *argv, "--q=-1,2")
+    assert run_cli(capsys, "formula", "segre", "--c", "-1", "--d", "2")[0] == 3
+
+
+def _parsed(parse, argv):
+    """(exit code, fields) of one parse; the fields are None on an exit."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, None
+    fields.pop("func", None)
+    return 0, fields
+
+
+@st.composite
+def command_lines(draw):
+    """An argv drawn from a command's table: full flag names, each spelled
+    `--f v` or `--f=v`, values that do not start with -, and at times one
+    fault: a bad choice or integer, an unknown flag, a missing value, a
+    value given to --json or a left-out required argument."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    _, positional, flags, required = COMMANDS[command]
+
+    def value(kind):
+        if kind is parse_int:
+            return str(draw(st.integers(0, 99)))
+        if isinstance(kind, str):
+            return draw(st.sampled_from(["2,4", "8", "", "a=b", "x y", "pow2"]))
+        return draw(st.sampled_from(list(kind)))
+
+    names = [n for n in flags if n != positional]
+    chosen = [n for n in required if n != positional and draw(st.integers(0, 9))]
+    chosen += draw(st.lists(st.sampled_from(names), max_size=5))
+    chosen = draw(st.permutations(chosen))
+    words = []
+    for name in chosen:
+        if flags[name] is bool:
+            words.append([f"--{name}"])
+        elif draw(st.booleans()):
+            words.append([f"--{name}={value(flags[name])}"])
+        else:
+            words.append([f"--{name}", value(flags[name])])
+    if positional and draw(st.integers(0, 9)):
+        words.insert(draw(st.integers(0, len(words))), [value(flags[positional])])
+    fault = draw(st.sampled_from(["none"] * 4 + ["choice", "unknown", "value"]))
+    if fault == "choice":
+        picked = [n for n in flags if flags[n] is parse_int
+                  or not isinstance(flags[n], (str, type))]
+        name = draw(st.sampled_from(picked))
+        bad = draw(st.sampled_from(["nope", "1_0", "+3", "x1"]))
+        words.append([bad] if name == positional else [f"--{name}", bad])
+    elif fault == "unknown":
+        # argparse takes a unique prefix of a flag, so no unknown flag is one
+        others = ["bogus", "family", "action", "preset", "suite", "c", "d", "q", "es",
+                  "file", "cache-dir"]
+        name = draw(st.sampled_from([n for n in others if not any(
+            f.startswith(n) for f in [*names, "help"])]))
+        words.insert(draw(st.integers(0, len(words))),
+                     [draw(st.sampled_from([f"--{name}", f"--{name}=2", "-x"]))])
+    elif fault == "value" and draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), ["--json=1"])
+    elif fault == "value":
+        name = draw(st.sampled_from([n for n in names if flags[n] is not bool]))
+        words.insert(draw(st.integers(0, len(words))), [f"--{name}"])
+        if words[-1] != [f"--{name}"]:  # not last: a flag follows it
+            words.insert(words.index([f"--{name}"]) + 1, ["--json"])
+    return [command, *(w for word in words for w in word)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_parse_args_agrees_with_argparse(argv):
+    """The table walk exits where the argparse parser exits, with the same
+    code, and otherwise gives every field the same value."""
+    assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+
 def test_oracle_exact_family(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--preset", "an-hypersurface", "--n", "2",
@@ -526,7 +650,7 @@ def test_integers_from_input_are_ascii_digits(capsys, tmp_path, argv, text,
         argv = [*argv, "--file", str(f)]
     try:
         got_code, out, got_err = run_cli(capsys, *argv)
-    except SystemExit as exc:  # argparse rejects a bad flag value
+    except SystemExit as exc:  # the parser rejects a bad flag value
         got_code, got_err = exc.code, capsys.readouterr().err
         out = ""
     assert (got_code, out) == (code, "")

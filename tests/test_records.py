@@ -1,5 +1,6 @@
 """Tests for hkrees' record types: value semantics, reprs, immutability and
-argument checks, and that importing the CLI loads no `dataclasses`."""
+argument checks, and that importing the CLI loads neither `dataclasses` nor
+`argparse`."""
 
 import os
 import subprocess
@@ -128,10 +129,38 @@ def test_validating_records_reject_bad_arguments(build, message):
     assert message in str(info.value)
 
 
-def test_importing_the_cli_loads_no_dataclasses():
+@pytest.mark.parametrize("good, bad", [
+    (SegreParams(2, 3), {"c": 0}),
+    (VeroneseParams(2, 3), {"d": 0}),
+    (_binomial(), {"minus": (1, 1, 0)}),
+    (PresentedQuotient(("x",)), {"dimension": 0}),
+    (Semigroup2D(((0, 1), (1, 0))), {"generators": ((0, 1),)}),
+    (ColengthSample(2, 3), {"q": 0}),
+], ids=["SegreParams", "VeroneseParams", "PureDifferenceBinomial",
+        "PresentedQuotient", "Semigroup2D", "ColengthSample"])
+def test_make_and_replace_check_like_the_constructor(good, bad):
+    fields = {**good._asdict(), **bad}
+    with pytest.raises(ParameterError) as expected:
+        type(good)(**fields)
+    for build in (lambda: good._replace(**bad),
+                  lambda: type(good)._make(fields.values())):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == str(expected.value)
+
+
+def _loaded_by_importing_the_cli(modules):
     src = os.path.dirname(os.path.dirname(hkrees.__file__))
-    code = ("import hkrees.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = f"import hkrees.cli, sys; print(sorted({set(modules)!r} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    assert _loaded_by_importing_the_cli({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """The CLI parses argv from its own tables; argparse also loads gettext."""
+    assert _loaded_by_importing_the_cli({"argparse", "gettext"}) == "[]\n"
