@@ -2,9 +2,9 @@
 
 Closed forms live in `closed_forms`, presented quotient rings, their text
 format and the characteristic-free Buchberger engine in `engine`, direct
-lattice counters in `lattice`, the Ehrhart quasi-polynomials of normal
-semigroups in `toric`, extrapolation in `estimator`, named families in
-`presets`, and invariant suites in `checks`.
+lattice counters in `lattice`, 2D semigroups and their Ehrhart
+quasi-polynomials in `toric`, extrapolation in `estimator`, named
+families in `presets`, and invariant suites in `checks`.
 """
 
 from .closed_forms import (
@@ -28,7 +28,6 @@ from .errors import ClosureError, DimensionError, ParameterError
 from .estimator import ColengthSample, HKEstimate, estimate, normalized_sequence
 from .lattice import (
     MonomialIdeal2D,
-    Semigroup2D,
     ci_rees_colength,
     equality_criterion,
     rees_monomial_colength,
@@ -37,6 +36,7 @@ from .lattice import (
     semigroup_extrees_colength,
     veronese_rees_colength,
 )
+from .toric import Semigroup2D
 
 __version__ = "1.0.0"
 

@@ -12,25 +12,23 @@ so those two counters sum their alpha tables only at the first few q and
 evaluate the polynomial there, and the (x^m, y^n) count is summed in
 closed form; the cost of these three does not grow with q.  For a normal
 semigroup both semigroup colengths are polynomials in q on each residue
-class of q mod a proven period (see `toric`), so those counters run the
-box only at the first few q of the class; a non-normal semigroup runs the
-box at q.  These four counters take an optional node table (see
-`toric.polynomial_in_q`): a preset passes one table to each call of its
-counter, so node values are shared within one preset and never across
-presets.
+class of q mod a proven period, so `toric.normal_in_q` runs their box
+only at the first few q of the class; a non-normal semigroup runs the box
+at q.  These four counters take an optional node table (see `toric`).
+The semigroup record `Semigroup2D` lives in `toric`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import toric
 from .errors import DimensionError, ParameterError
 from .exact import binomial, parse_int
+from .toric import Semigroup2D
 
 # ---------------------------------------------------------------------------
 # Monomial counts in d variables
@@ -394,39 +392,6 @@ def ci_rees_colength(m: int, n: int, q: int) -> int:
 # 2D affine semigroup rings
 
 
-class Semigroup2D(namedtuple("Semigroup2D", "generators")):
-    """Subsemigroup of Z^2 generated by (a_i, b_i), normalized so that
-    a_0 = 0 < a_1 < ... < a_s = a and b_s = 0 < b_{s-1} < ... < b_0 = b.
-    Then (0, b) and (a, 0) are generators, so ZS has rank 2."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
-
-    def __new__(cls, generators: tuple[tuple[int, int], ...]):
-        g = generators
-        if len(g) < 2:
-            raise ParameterError("need at least two generators")
-        if g[0][0] != 0 or any(x[0] >= y[0] for x, y in zip(g, g[1:])):
-            raise ParameterError(f"a_i must satisfy 0 = a_0 < ... < a_s: {g}")
-        if g[-1][1] != 0 or any(x[1] <= y[1] for x, y in zip(g, g[1:])):
-            raise ParameterError(f"b_i must satisfy b_s = 0 < ... < b_0: {g}")
-        return super().__new__(cls, g)
-
-    @property
-    def a(self) -> int:
-        return self.generators[-1][0]
-
-    @property
-    def b(self) -> int:
-        return self.generators[0][1]
-
-    def index(self) -> int:
-        """|Z^2 / ZS| = d e for the basis (d, 0), (t, e) of ZS from
-        `toric.lattice_basis`."""
-        (d, _), (_, e) = toric.lattice_basis(self)
-        return d * e
-
-
 def equality_criterion(s: Semigroup2D) -> bool:
     """True iff a_i/a + b_i/b = 1 for every generator (the homogeneity
     condition under which the base and extended-Rees multiplicities agree)."""
@@ -510,29 +475,6 @@ class _PackedBox:
         return out & self.box
 
 
-def _normal_in_q(box, s: Semigroup2D, dim: int, q: int,
-                 table: dict | None = None) -> int:
-    """box(s, q) for a packed-box counter of k[S] (dim 2) or of R'(m)
-    (dim 3).  For normal S that colength is, at every q >= 1, a polynomial
-    of degree dim on each residue class of q mod `toric.period(s, dim)`
-    (the proof is in `toric`), so `toric.polynomial_in_q` evaluates it
-    from the box at the dim + 1 nodes of q's class; every other S runs the
-    box at q.  The node table also keeps, under "period", that period, or
-    None when S is not normal, so a preset tests S once.
-    """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    if table is None:
-        table = {}
-    if "period" not in table:
-        table["period"] = toric.period(s, dim) if toric.is_normal(s) else None
-    if table["period"] is None:
-        return box(s, q)
-    return toric.polynomial_in_q(
-        lambda k: box(s, k), dim, q, table["period"], table
-    )
-
-
 def _ehk_box(s: Semigroup2D, q: int) -> int:
     """`semigroup_ehk_colength` counted on the packed box."""
     grid = _PackedBox(s, q)
@@ -543,7 +485,7 @@ def semigroup_ehk_colength(s: Semigroup2D, q: int,
                            table: dict | None = None) -> int:
     """Number of semigroup elements outside every translate q*g_i + S:
     the colength of the q-th bracket power of the maximal ideal."""
-    return _normal_in_q(_ehk_box, s, 2, q, table)
+    return toric.normal_in_q(_ehk_box, s, 2, q, table)
 
 
 def semigroup_extrees_colength(s: Semigroup2D, q: int,
@@ -551,7 +493,7 @@ def semigroup_extrees_colength(s: Semigroup2D, q: int,
     """Colength of the q-th bracket power M^[q] of the homogeneous maximal
     ideal of the extended Rees algebra R' = sum over n of m^n t^n of k[S],
     counted by `_extrees_box`."""
-    return _normal_in_q(_extrees_box, s, 3, q, table)
+    return toric.normal_in_q(_extrees_box, s, 3, q, table)
 
 
 def _extrees_box(s: Semigroup2D, q: int) -> int:

@@ -3,16 +3,14 @@ dimension used for normalization, and the closed-form target when one is
 known.  Every preset carries a canonical description string used for cache
 keying, so identical computations hit the same cache entries regardless of
 how they were requested.  The Segre, Veronese Rees and semigroup presets
-also carry one node table for their counter (see `lattice`), so the q of
-one ladder share their node values; a new preset starts a new table.
+create one node table for their counter (see `toric`) each time one is
+built.
 
-The two A_n engine presets, `an_hypersurface` (n >= 2) and `an_extrees`,
-keep one too: each is a toric twin, k[S] and R'(m) for the normal
-S = <(0,n), (1,1), (n,0)>, so its engine counter is a polynomial on each
-residue class of q mod `toric.period(S, dim)` (see `_engine_preset`).
-The counter reads q from the dim + 1 nodes of its class when they sum to
-at most q, and runs the engine at q below that.  `ci_extrees` and
-`presentation` have no twin and run the engine at every q.
+The A_n engine presets, `an_hypersurface` (n >= 2) and `an_extrees`, are
+toric twins: each computes its twin's period when it is built, creates
+a node table, and reads large q from the nodes (see `_engine_preset`).
+`ci_extrees` and `presentation` have no twin and run the engine at
+every q.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def ci_extrees_presentation(m: int, n: int) -> engine.PresentedQuotient:
 def _engine_preset(description: str, p: engine.PresentedQuotient,
                    order: engine.MonomialOrderSpec | None,
                    target: Fraction | None = None,
-                   twin: lattice.Semigroup2D | None = None) -> Preset:
+                   twin: toric.Semigroup2D | None = None) -> Preset:
     """A preset that counts with `engine.frobenius_colength` under `order`.
 
     With a twin, the ring is k[S] (dim 2) or R'(m) over k[S] (dim 3) for
@@ -94,8 +92,8 @@ def _engine_preset(description: str, p: engine.PresentedQuotient,
     A Buchberger run costs a fixed part plus a part that grows with q.
     With r = (q - 1) mod P, the nodes r + 1 + jP, j = 0..dim, sum to
     (dim+1)(r+1) + P dim(dim+1)/2: below that sum the engine runs at q,
-    and from it on `toric.polynomial_in_q` reads q from the nodes.  One
-    table keeps P, computed at the first call, and every value counted.
+    and from it on `toric.polynomial_in_q` reads q from the nodes.  P is
+    computed here, and one node table keeps every value counted.
     """
     def count(q: int) -> int:
         return engine.frobenius_colength(p, q, order)
@@ -103,11 +101,9 @@ def _engine_preset(description: str, p: engine.PresentedQuotient,
     if twin is None:
         return Preset(description, p.dimension, count, target)
     dim, table = p.dimension, {}
+    period = toric.period(twin, dim)
 
     def counter(q: int) -> int:
-        if "period" not in table:
-            table["period"] = toric.period(twin, dim)
-        period = table["period"]
         r = (q - 1) % period
         if q >= (dim + 1) * (r + 1) + period * dim * (dim + 1) // 2:
             return toric.polynomial_in_q(count, dim, q, period, table)
@@ -190,11 +186,11 @@ def ci_extrees(m: int, n: int,
                           ci_extrees_presentation(m, n), order, target)
 
 
-def _generators(s: lattice.Semigroup2D) -> str:
+def _generators(s: toric.Semigroup2D) -> str:
     return " ".join(f"({a},{b})" for a, b in s.generators)
 
 
-def semigroup(s: lattice.Semigroup2D) -> Preset:
+def semigroup(s: toric.Semigroup2D) -> Preset:
     """Affine semigroup ring k[S] for a rank-2 semigroup."""
     table: dict = {}
     return Preset(
@@ -204,7 +200,7 @@ def semigroup(s: lattice.Semigroup2D) -> Preset:
     )
 
 
-def semigroup_extrees(s: lattice.Semigroup2D) -> Preset:
+def semigroup_extrees(s: toric.Semigroup2D) -> Preset:
     """Extended Rees algebra of the maximal ideal of k[S]."""
     table: dict = {}
     return Preset(

@@ -1,4 +1,4 @@
-"""Ehrhart quasi-polynomials of toric colengths.
+"""2D semigroups and the Ehrhart quasi-polynomials of toric colengths.
 
 `polynomial_in_q` evaluates a colength that is a polynomial in q on each
 residue class of q mod a period from its values at a few nodes, and
@@ -7,9 +7,14 @@ limit of colength / q^dim, from the same forward differences, which
 `forward_differences` alone computes.  For a
 normal 2D affine semigroup S, `is_normal`, `lattice_basis` and `period`
 give that period for the colengths of k[S] and of its extended Rees
-algebra R'(m).  They take a normalized `lattice.Semigroup2D`: generators
-g_i = (a_i, b_i) with 0 = a_0 < ... < a_s = a and b_0 = b > ... > b_s = 0,
-so S spans the quadrant C = {x >= 0, y >= 0}.
+algebra R'(m), and `normal_in_q` reads a counter of either from its
+nodes.  They take a `Semigroup2D`, the record of every 2D semigroup:
+generators g_i = (a_i, b_i) with 0 = a_0 < ... < a_s = a and
+b_0 = b > ... > b_s = 0, so S spans the quadrant C = {x >= 0, y >= 0}.
+
+Node tables.  A preset makes one dict for its counter, mapping each node
+q to its count, and passes it to every call: the q of one ladder share
+nodes, and no two presets do.  Only `normal_in_q` adds an entry, "period".
 
 Why the colengths are quasi-polynomials in q.  Let S be normal, that is
 S = C cap ZS.
@@ -57,7 +62,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
+
+from .errors import ParameterError
 
 
 def forward_differences(f, degree: int, period: int, start: int) -> list:
@@ -83,11 +91,8 @@ def polynomial_in_q(table_sum, degree: int, q: int, period: int = 1,
     forward-difference formula along the class gives sum over j of
     C(k, j) Delta^j f(r + 1), in integers.
 
-    `table` maps node q to table_sum(q): each node is read from it before
-    it is computed, and stored once computed.  A preset passes one table
-    to every call of its counter, so a ladder of q sums each node once;
-    a table holds one counter's values for one ring, so node values are
-    shared within one preset and never across presets.
+    Each node is read from the node `table` before it is computed, and
+    stored there once computed.
     """
     if table is None:
         table = {}
@@ -116,7 +121,40 @@ def leading_coefficient(table_sum, degree: int, period: int = 1,
     return Fraction(top, math.factorial(degree) * period**degree)
 
 
-def lattice_basis(s) -> tuple[tuple[int, int], tuple[int, int]]:
+class Semigroup2D(namedtuple("Semigroup2D", "generators")):
+    """Subsemigroup of Z^2 generated by (a_i, b_i), normalized so that
+    a_0 = 0 < a_1 < ... < a_s = a and b_s = 0 < b_{s-1} < ... < b_0 = b.
+    Then (0, b) and (a, 0) are generators, so ZS has rank 2."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
+
+    def __new__(cls, generators: tuple[tuple[int, int], ...]):
+        g = generators
+        if len(g) < 2:
+            raise ParameterError("need at least two generators")
+        if g[0][0] != 0 or any(x[0] >= y[0] for x, y in zip(g, g[1:])):
+            raise ParameterError(f"a_i must satisfy 0 = a_0 < ... < a_s: {g}")
+        if g[-1][1] != 0 or any(x[1] <= y[1] for x, y in zip(g, g[1:])):
+            raise ParameterError(f"b_i must satisfy b_s = 0 < ... < b_0: {g}")
+        return super().__new__(cls, g)
+
+    @property
+    def a(self) -> int:
+        return self.generators[-1][0]
+
+    @property
+    def b(self) -> int:
+        return self.generators[0][1]
+
+    def index(self) -> int:
+        """|Z^2 / ZS| = d e for the basis (d, 0), (t, e) of ZS from
+        `lattice_basis`."""
+        (d, _), (_, e) = lattice_basis(self)
+        return d * e
+
+
+def lattice_basis(s: Semigroup2D) -> tuple[tuple[int, int], tuple[int, int]]:
     """A basis (d, 0), (t, e) of ZS with 0 <= t < d, by Euclid's algorithm
     on the y-coordinates: each generator is folded into (t, e) by
     unimodular steps until its y-coordinate is 0, and what is left of it
@@ -130,7 +168,7 @@ def lattice_basis(s) -> tuple[tuple[int, int], tuple[int, int]]:
     return (d, 0), (t % d, e)
 
 
-def is_normal(s) -> bool:
+def is_normal(s: Semigroup2D) -> bool:
     """Whether S = C cap ZS.  As (a, 0) and (0, b) lie in S, every point
     of C cap ZS is one of S plus a point of ZS in R = [0, a) x [0, b), so
     S is normal iff it holds all of those.  R is a fundamental domain of
@@ -149,7 +187,7 @@ def is_normal(s) -> bool:
     return sum(col.bit_count() for col in cols) == a * b // s.index()
 
 
-def _lower_hull(s) -> list[tuple[int, int, int]]:
+def _lower_hull(s: Semigroup2D) -> list[tuple[int, int, int]]:
     """(alpha, beta, c) for each edge of the lower hull of the generators,
     from (0, b) to (a, 0): alpha x + beta y >= c on every generator, with
     equality at both ends of the edge, and alpha, beta > 0."""
@@ -176,7 +214,7 @@ def _det(rows) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def period(s, dim: int) -> int:
+def period(s: Semigroup2D, dim: int) -> int:
     """P, the lcm of |det| over the independent sets of dim primitive facet
     normals in the coordinates of `lattice_basis`: those of x >= 0 and
     y >= 0 for k[S] (dim 2), and with them (alpha_j, beta_j, -c_j) for each
@@ -193,3 +231,24 @@ def period(s, dim: int) -> int:
         normals.append(tuple(x // g for x in v))
     dets = (abs(_det(m)) for m in itertools.combinations(normals, dim))
     return math.lcm(*(x for x in dets if x))
+
+
+def normal_in_q(box, s: Semigroup2D, dim: int, q: int,
+                table: dict | None = None) -> int:
+    """box(s, q) for a packed-box counter of k[S] (dim 2) or of R'(m)
+    (dim 3).  For normal S that colength is, at every q >= 1, a polynomial
+    of degree dim on each residue class of q mod `period(s, dim)` (the
+    proof is in the module docstring), so `polynomial_in_q` evaluates it
+    from the box at the dim + 1 nodes of q's class; every other S runs the
+    box at q.  The node table also keeps, under "period", that period, or
+    None when S is not normal, so a preset tests S once.
+    """
+    if q < 1:
+        raise ParameterError(f"q must be >= 1, got {q}")
+    if table is None:
+        table = {}
+    if "period" not in table:
+        table["period"] = period(s, dim) if is_normal(s) else None
+    if table["period"] is None:
+        return box(s, q)
+    return polynomial_in_q(lambda k: box(s, k), dim, q, table["period"], table)

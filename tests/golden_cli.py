@@ -127,7 +127,9 @@ def _oracle_cases() -> list[list[str]]:
 SUITES = ["theorem1", "theorem2", "cor54", "prop412", "prop57", "lemma13",
           "assembly", "bcp-compare", "all"]
 
-ERRORS = [
+# Runs past the check suites, in the order they were added: each group is
+# appended after the one before it, so every earlier run keeps its place.
+EDGE_CASES = [
     # exit 2: usage errors
     ["formula", "unknown-family"],
     ["formula", "segre", "--c", "2"],
@@ -179,26 +181,16 @@ ERRORS = [
     ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "\uff18,16"],
     ["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid", "primepow:x"],
     ["formula", "segre", "--c", "1_0", "--d", "2"],
-]
-
-# Valid files whose vars: line is not the first line; appended last so the
-# runs before them keep their places.
-LATE = [
+    # valid files whose vars: line is not the first line
     ["oracle", "--preset", "presentation", "--file", f"{TMP}/order-before-vars.txt",
      "--q", "2,4,8"],
     ["oracle", "--preset", "presentation", "--file", f"{TMP}/bin-before-vars.txt",
      "--q", "2,4,8"],
-]
-
-# A negative exponent on a prime-power grid; appended after LATE.
-NEGATIVE_EXPONENT = [
+    # a negative exponent on a prime-power grid
     ["oracle", "--preset", "an-hypersurface", "--n", "2", "--grid", "primepow:3",
      "--q=-1,2"],
-]
-
-# Flags that a formula family does not take (exit 2), and empty --q and
-# --cache-dir values (exit 3); appended after NEGATIVE_EXPONENT.
-FOREIGN_AND_EMPTY = [
+    # flags that a formula family does not take (exit 2), and empty --q and
+    # --cache-dir values (exit 3)
     ["formula", "segre", "--c", "2", "--d", "3", "--n", "9"],
     ["formula", "conca", "--ds", "1,1", "--es", "2", "--c", "4"],
     ["formula", "stirling-table", "--n", "3", "--m", "1", "--es", "2", "--json"],
@@ -209,10 +201,7 @@ FOREIGN_AND_EMPTY = [
      "--cache-dir", ""],
     ["cache", "inspect", "--cache-dir", ""],
     ["cache", "clear", "--cache-dir", ""],
-]
-
-# Empty entries in an integer list (exit 3); appended after FOREIGN_AND_EMPTY.
-EMPTY_ENTRIES = [
+    # empty entries in an integer list (exit 3)
     ["formula", "conca", "--ds", "1,,2", "--es", "3"],
     ["formula", "conca", "--ds", "1,2,", "--es", "3"],
     ["oracle", "--preset", "segre", "--c", "2", "--d", "2", "--q", "8,,16"],
@@ -223,8 +212,7 @@ EMPTY_ENTRIES = [
 
 def cases() -> list[list[str]]:
     suites = [["check", "--suite", s, *j] for s in SUITES for j in ([], ["--json"])]
-    return (_formula_cases() + _oracle_cases() + suites + ERRORS + LATE
-            + NEGATIVE_EXPONENT + FOREIGN_AND_EMPTY + EMPTY_ENTRIES)
+    return _formula_cases() + _oracle_cases() + suites + EDGE_CASES
 
 
 def choice_lists() -> dict[str, list[str]]:
@@ -270,11 +258,12 @@ def main(argv=None) -> int:
     diffs = [(g, r) for g, r in zip(golden["runs"], doc["runs"]) if g != r]
     for g, r in diffs:
         print(f"differs: {' '.join(g['argv'])}\n  golden: {g}\n  now:    {r}")
-    ok = not diffs and len(golden["runs"]) == len(doc["runs"])
-    if golden["choices"] != doc["choices"]:
+    same_choices = golden["choices"] == doc["choices"]
+    if not same_choices:
         print(f"choice lists differ:\n  golden: {golden['choices']}\n  now:    {doc['choices']}")
-        ok = False
-    print(f"{len(golden['runs'])} golden runs, {len(doc['runs'])} now, {len(diffs)} differ")
+    print(f"{len(golden['runs'])} golden runs, {len(doc['runs'])} now, {len(diffs)} differ;"
+          f" choice lists {'match' if same_choices else 'differ'}")
+    ok = not diffs and len(golden["runs"]) == len(doc["runs"]) and same_choices
     return 0 if ok else 1
 
 

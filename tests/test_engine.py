@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkrees import engine, lattice, presets
+from hkrees import engine, lattice, presets, toric
 from hkrees.engine import (
     MonomialOrderSpec,
     PresentedQuotient,
@@ -427,6 +427,25 @@ def test_twin_preset_evaluates_only_its_nodes(monkeypatch, family, n, qs,
             assert preset.counter(q) > 0
         assert sorted(calls) == list(evaluated)
         calls.clear()
+
+
+@pytest.mark.parametrize("family, n", [
+    ("an_hypersurface", 2), ("an_hypersurface", 3), ("an_extrees", 3),
+])
+def test_twin_preset_computes_its_period_when_built(monkeypatch, family, n):
+    """The period of the twin is computed once, when the preset is built,
+    and no count along a ladder computes it again; a second preset
+    computes its own."""
+    calls = []
+    real = toric.period
+    monkeypatch.setattr(toric, "period",
+                        lambda *args: calls.append(args) or real(*args))
+    for built in (1, 2):
+        preset = getattr(presets, family)(n)
+        assert len(calls) == built
+        for q in (4, 6, 8, 16, 24, 48):
+            assert preset.counter(q) > 0
+        assert len(calls) == built
 
 
 def is_reduced(gb):
