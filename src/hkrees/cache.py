@@ -6,9 +6,11 @@ JSON file.  A hit requires the description hash, q, and engine version to
 all match; bumping ENGINE_VERSION invalidates every old entry without
 touching the file.
 
-Opening the cache only reads the file; a lookup decodes just the lines that
-can hold its hash, so its cost follows the records asked for.  A put appends
-in place and reuses the lookup of the get before it.
+Opening the cache only reads the file.  The last valid record for a key
+wins, so a lookup reads the file newest first and stops at the first
+valid record for its key: a hit on a recent record decodes a line or two
+near the end, and a miss reads every line that can hold its hash once.
+A put appends in place and reuses the lookups before it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ ENGINE_VERSION = "1"
 # raw_decode skips json.loads' argument checks, which cost about a quarter
 # of the load time of a large cache; _parse checks the end offset itself.
 _decode = json.JSONDecoder().raw_decode
+
+# A lookup's first window: at least this many bytes from the end of the
+# file.  CPython's bytes.find uses its faster two-way search for a 64-byte
+# needle only in 30,000 bytes or more.
+_WINDOW = 32768
 
 
 def _key(description: str) -> str:
@@ -58,7 +65,7 @@ class ColengthCache:
     def __init__(self, path: str):
         self.path = path
         self._data = bytearray()  # the file as loaded, plus this instance's puts
-        self._found = None  # (hash, records) of the last lookup, kept current
+        self._found = None  # [hash, {q: count}, frontier] of the last lookup
         self._load()
 
     def _load(self):
@@ -83,38 +90,55 @@ class ColengthCache:
         """Torn, malformed and non-UTF-8 lines, from a full scan."""
         return _parse(self._data.splitlines())[1]
 
-    def _lookup(self, h: str) -> dict[tuple[str, int], int]:
-        """Records of the lines holding h or a backslash, in file order.
-        Every record with hash h is among them, because a JSON string
-        spells a hex digit either literally or as a \\u escape.  The
-        records of the last hash looked up are kept, and a put adds its
-        own, so a put after a get for the same hash decodes nothing."""
-        if self._found is not None and self._found[0] == h:
-            return self._found[1]
+    def _lookup(self, h: str, q: int) -> int | None:
+        """The count of the newest valid record for (h, q), or None.
+
+        The file is read from its end in two windows that start at line
+        starts: the last _WINDOW bytes or more, then everything before
+        them.  A window's candidates are its lines holding h or a
+        backslash; every record with hash h is among them, because a JSON
+        string spells a hex digit either literally or as a \\u escape.
+        They are decoded from the last one back until a valid record for
+        (h, q) turns up.  _found keeps, for the last hash looked up, the
+        newest count of each q read so far and the frontier before which
+        nothing has been read, so the next lookup of that hash resumes
+        there; a put adds its own record."""
+        found = self._found
+        if found is None or found[0] != h:
+            found = self._found = [h, {}, len(self._data)]
+        _, counts, f = found
         data = self._data
-        lines = {}
-        for needle in (h.encode("ascii"), b"\\"):
-            i = data.find(needle)
-            while i >= 0:
-                start = data.rfind(b"\n", 0, i) + 1
-                end = data.find(b"\n", i)
-                if end < 0:
-                    end = len(data)
-                lines[start] = data[start:end]
-                i = data.find(needle, end)
-        records = _parse(lines[start] for start in sorted(lines))[0]
-        self._found = (h, records)
-        return records
+        s = data.rfind(b"\n", 0, f - _WINDOW) + 1 if f > _WINDOW else 0
+        while q not in counts and f:
+            lines = {}
+            for needle in (h.encode("ascii"), b"\\"):
+                i = data.find(needle, s, f)
+                while i >= 0:
+                    start = data.rfind(b"\n", 0, i) + 1
+                    end = data.find(b"\n", i)
+                    if end < 0:
+                        end = len(data)
+                    lines[start] = end
+                    i = data.find(needle, end, f)
+            for start in sorted(lines, reverse=True):
+                for (g, r), count in _parse([data[start:lines[start]]])[0].items():
+                    if g == h:
+                        counts.setdefault(r, count)  # the newest wins
+                if q in counts:
+                    f = start
+                    break
+            else:
+                f, s = s, 0
+        found[2] = f
+        return counts.get(q)
 
     def get(self, description: str, q: int) -> int | None:
-        h = _key(description)
-        return self._lookup(h).get((h, q))
+        return self._lookup(_key(description), q)
 
     def put(self, description: str, q: int, count: int):
         h = _key(description)
-        records = self._lookup(h)
-        if (h, q) in records:
-            return
+        if self._lookup(h, q) is not None:
+            return  # a lookup returns None only after reading the whole file
         rec = {
             "hash": h,
             "q": q,
@@ -123,13 +147,17 @@ class ColengthCache:
             "description": description,
         }
         line = json.dumps(rec, sort_keys=True).encode("utf-8") + b"\n"
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         if self._data and not self._data.endswith(b"\n"):  # end a torn last line
             line = b"\n" + line
-        with open(self.path, "ab") as fh:
+        try:
+            fh = open(self.path, "ab")
+        except FileNotFoundError:  # the first put into a new directory
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            fh = open(self.path, "ab")
+        with fh:
             fh.write(line)
         self._data += line
-        records[(h, q)] = count  # as a new lookup would read the appended line
+        self._found[1][q] = count  # as a new lookup would read the appended line
 
     def entries(self) -> list[dict]:
         """Current valid entries, for inspection."""

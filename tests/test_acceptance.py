@@ -9,7 +9,6 @@ approach the limit without straddling it), and the bracket width must be
 within tolerance.
 """
 
-import itertools
 from fractions import Fraction
 
 from hkrees import checks

@@ -274,6 +274,92 @@ def test_cache_put_after_get_decodes_nothing(tmp_path, monkeypatch):
     assert fresh.get("filler 3", 2) == 3
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(cache_lines(), st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                max_size=40),
+       st.booleans(), st.integers(64, 256),
+       st.lists(st.tuples(st.booleans(), st.sampled_from(CACHE_DESCS),
+                          st.sampled_from([1, 2, 3]), st.integers(0, 99)), max_size=12))
+def test_cache_lookup_across_windows_matches_full_parse(
+        tmp_path_factory, lines, torn_end, window, calls):
+    """Small windows split the file into many, and gets and puts of random
+    keys resume each other's scans."""
+    data = b"".join(line + sep for line, sep in lines)
+    if torn_end and lines:
+        data = data[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+    path.write_bytes(data)
+    entries, rejected = reference_load(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cache_mod, "_WINDOW", window)
+        cache = ColengthCache(str(path))
+        for is_put, desc, q, count in calls:
+            key = (_key(desc), q)
+            if is_put:
+                size = path.stat().st_size
+                cache.put(desc, q, count)
+                assert (path.stat().st_size > size) == (key not in entries)
+                entries.setdefault(key, count)
+            else:
+                assert cache.get(desc, q) == entries.get(key)
+        assert reference_load(path) == (entries, rejected)
+        assert cache.entries() == [
+            {"hash": h, "q": q, "count": c, "version": ENGINE_VERSION}
+            for (h, q), c in sorted(entries.items())
+        ]
+        assert cache.rejected == rejected
+
+
+def _spy_decode(monkeypatch):
+    decoded = []
+    real = cache_mod._decode
+    monkeypatch.setattr(cache_mod, "_decode", lambda s: decoded.append(s) or real(s))
+    return decoded
+
+
+def _write_records(path, *records):
+    """Records of "a" and of "filler i" (a count alone stands for a filler)."""
+    rec = {"hash": _key("a"), "version": ENGINE_VERSION}
+    lines = [dict(rec, hash=_key(f"filler {r}"), q=2, count=r) if type(r) is int
+             else dict(rec, q=r[0], count=r[1]) for r in records]
+    path.write_text("".join(json.dumps(x, sort_keys=True) + "\n" for x in lines))
+
+
+@pytest.mark.parametrize("fillers", [3, 500])
+def test_cache_get_stops_at_the_newest_record(tmp_path, monkeypatch, fillers):
+    path = tmp_path / "c.jsonl"
+    _write_records(path, (2, 5), *range(fillers), (2, 6))
+    decoded = _spy_decode(monkeypatch)
+    assert ColengthCache(str(path)).get("a", 2) == 6
+    assert len(decoded) == 1  # the newer record alone
+
+
+def test_cache_put_reads_the_rest_of_the_file_first(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    _write_records(path, (2, 5), *range(500), (4, 7))
+    decoded = _spy_decode(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert cache.get("a", 4) == 7
+    assert len(decoded) == 1  # (a, 2) lies before the frontier
+    before = path.read_bytes()
+    cache.put("a", 2, 99)
+    assert path.read_bytes() == before
+    assert len(decoded) == 2
+    assert cache.get("a", 2) == 5
+
+
+def test_cache_put_creates_its_directory_only_when_missing(tmp_path, monkeypatch):
+    path = tmp_path / "new" / "nested" / "colengths.jsonl"
+    cache = ColengthCache(str(path))
+    cache.put("a", 2, 5)
+    assert ColengthCache(str(path)).get("a", 2) == 5
+    made = []
+    monkeypatch.setattr(cache_mod.os, "makedirs", lambda *args, **kw: made.append(args))
+    cache.put("a", 4, 7)
+    assert made == []
+    assert ColengthCache(str(path)).get("a", 4) == 7
+
+
 def test_put_ends_a_torn_last_line(capsys, tmp_path):
     path = tmp_path / "colengths.jsonl"
     path.write_text('{"count": 5, "hash": "ab')

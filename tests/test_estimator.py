@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hkrees.errors import ParameterError
-from hkrees.estimator import ColengthSample, HKEstimate, estimate, normalized_sequence
+from hkrees.estimator import ColengthSample, estimate, normalized_sequence
 
 
 def synthetic(a, b, d, qs):
