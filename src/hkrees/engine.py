@@ -89,10 +89,17 @@ class PureDifferenceBinomial(namedtuple("PureDifferenceBinomial", "plus minus"))
         return super().__new__(cls, plus, minus)
 
 
+def _check_lengths(terms, n: int) -> None:
+    for m in terms:
+        if len(m) != n:
+            raise ParameterError(f"relation term {m} has {len(m)} exponents for {n} variables")
+
+
 class PresentedQuotient(namedtuple(
         "PresentedQuotient", "variables binomials monomials dimension")):
     """A graded quotient ring: variables, pure-difference binomial relations,
-    monomial relations, and its declared Krull dimension."""
+    monomial relations, and its declared Krull dimension.  Every relation
+    term has one exponent per variable."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's own skips __new__
@@ -104,6 +111,7 @@ class PresentedQuotient(namedtuple(
             raise ParameterError("need at least one variable")
         if dimension < 1:
             raise ParameterError("dimension must be >= 1")
+        _check_lengths((*(b.plus for b in binomials), *monomials), len(variables))
         return super().__new__(cls, variables, binomials, monomials, dimension)
 
 
@@ -295,6 +303,10 @@ def _groebner_basis(p: PresentedQuotient, order: MonomialOrderSpec,
     generators, e.g. Frobenius powers) as Buchberger's loop leaves it: the
     generators, then each new element in the order found, with leads that
     need not be minimal and tails that need not be reduced."""
+    perm, n = order.permutation, len(p.variables)
+    if perm is not None and len(perm) != n:
+        raise ParameterError(f"order permutation {perm} has {len(perm)} entries for {n} variables")
+    _check_lengths(extra_monomials, n)
     gens: list[Element] = []
     for b in p.binomials:
         e = _make_element(b.plus, b.minus, order)

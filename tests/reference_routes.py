@@ -5,6 +5,14 @@ package computes another way, so the two routes check each other:
   recurrence behind `hkrees.exact.stirling2`;
 - `alpha_q`: bounded monomial counts by inclusion-exclusion, against
   enumeration and the lattice counters;
+- `segre_colength_by_alpha_q`, `veronese_beta_by_alpha` and
+  `veronese_rees_colength_by_alpha_q`: the Segre and Veronese Rees
+  colengths as alpha sums at q itself, with alpha_q by inclusion-exclusion,
+  against `hkrees.lattice`, which sums its alpha tables only at the nodes
+  q = 1..D+1 and reads every other q from them;
+- `ci_extrees_colength_by_sum`: the extended Rees colength of (x^m, y^n)
+  as a sum of min(q, Delta_m(a), Delta_n(b)) over the points (a, b),
+  against the engine;
 - `fc_density`: the piecewise-polynomial density whose moments are the
   limits `hkrees.closed_forms.veronese_I_limits` evaluates as finite sums;
 - `buchberger_by_scan` and `reduce_by_scan`: the Buchberger engine with
@@ -59,6 +67,50 @@ def alpha_q(d: int, n: int, q: int) -> int:
     if d < 1 or q < 1:
         raise ParameterError(f"alpha_q requires d, q >= 1, got d={d}, q={q}")
     return sum((-1) ** i * binomial(d, i) * alpha(d, n - i * q) for i in range(d + 1))
+
+
+def segre_colength_by_alpha_q(c: int, d: int, q: int) -> int:
+    """The Segre colength: sum over n of alpha(c, n) alpha_q(d, n, q) +
+    alpha_q(c, n, q) alpha(d, n) - alpha_q(c, n, q) alpha_q(d, n, q)."""
+    total = 0
+    for n in range(max(c, d) * (q - 1) + 1):
+        acq, adq = alpha_q(c, n, q), alpha_q(d, n, q)
+        total += alpha(c, n) * adq + acq * alpha(d, n) - acq * adq
+    return total
+
+
+def veronese_beta_by_alpha(d: int, c: int, n: int, q: int) -> int:
+    """beta_{n,cq} = sum over l < c of alpha(d, l) alpha_cq(d, c(n - lq)),
+    with alpha_cq by inclusion-exclusion."""
+    return sum(
+        alpha(d, l) * (-1) ** i * binomial(d, i) * alpha(d, c * (n - l * q - i * q))
+        for l in range(c)
+        for i in range(d + 1)
+    )
+
+
+def veronese_rees_colength_by_alpha_q(c: int, d: int, q: int) -> int:
+    """The Veronese Rees colength: sum over n of (n + 1) beta_n, plus the
+    sum over n < 2cq - 1 of alpha_cq(2, n) (alpha(d, cn) - beta_n); beta_n
+    vanishes from n = (c+d-1)q on."""
+    cq = c * q
+    betas = [veronese_beta_by_alpha(d, c, n, q) for n in range(max(c + d - 1, 2 * c) * q)]
+    total = sum((n + 1) * b for n, b in enumerate(betas))
+    for n in range(2 * cq - 1):
+        total += alpha_q(2, n, cq) * (alpha(d, c * n) - betas[n])
+    return total
+
+
+def ci_extrees_colength_by_sum(m: int, n: int, q: int) -> int:
+    """The colength of M^[q] on the extended Rees algebra of (x^m, y^n):
+    the sum over a < mq, b < nq of min(q, Delta_m(a), Delta_n(b)), where
+    Delta_m(a) = floor(a/m) - floor((a-q)/m) for a >= q and is infinite
+    for a < q."""
+    def delta(a: int, k: int) -> int:
+        return q if a < q else a // k - (a - q) // k
+
+    return sum(min(q, delta(a, m), delta(b, n))
+               for a in range(m * q) for b in range(n * q))
 
 
 def fc_density(p: VeroneseParams, t: Fraction) -> Fraction:

@@ -26,6 +26,7 @@ from hkrees.engine import (
 from hkrees.errors import ClosureError, DimensionError, ParameterError
 from reference_routes import (
     buchberger_by_scan,
+    ci_extrees_colength_by_sum,
     count_standard_monomials_by_slabs,
     krull_dimension_by_subsets,
     reduce_by_scan,
@@ -51,6 +52,28 @@ def test_order_spec_validation():
     with pytest.raises(ParameterError):
         MonomialOrderSpec("lex", (0, 0, 1))
     assert LEX.key((2, 0, 1)) == (2, 0, 1)
+
+
+@pytest.mark.parametrize("permutation", [(1, 0), (0, 1, 2, 3)])
+def test_engine_rejects_an_order_of_another_variable_count(permutation):
+    """A permutation of two variables is no monomial order on three (its key
+    drops z), and one of four indexes past the exponents."""
+    p, order = xy_z(3), MonomialOrderSpec("lex", permutation)
+    for run in (lambda: frobenius_colength(p, 2, order),
+                lambda: buchberger(p, order), lambda: krull_dimension(p, order)):
+        with pytest.raises(ParameterError, match=f"{len(permutation)} entries for 3 variables"):
+            run()
+
+
+def test_buchberger_rejects_an_extra_monomial_of_another_length():
+    with pytest.raises(ParameterError, match=r"term \(1, 1\) has 2 exponents for 3 variables"):
+        buchberger(xy_z(3), LEX, ((1, 1),))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6))
+def test_ci_extrees_engine_matches_the_point_sum(m, n, q):
+    assert presets.ci_extrees(m, n).counter(q) == ci_extrees_colength_by_sum(m, n, q)
 
 
 def test_grevlex_orders_by_degree_first():

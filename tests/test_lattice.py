@@ -37,7 +37,11 @@ from hkrees.lattice import (
     veronese_rees_colength,
 )
 
-from reference_routes import alpha_q
+from reference_routes import (
+    segre_colength_by_alpha_q,
+    veronese_beta_by_alpha,
+    veronese_rees_colength_by_alpha_q,
+)
 
 LEX = MonomialOrderSpec("lex")
 
@@ -55,7 +59,8 @@ def test_segre_colength_converges():
     values = [Fraction(segre_colength(2, 2, q), q**3) for q in (4, 8, 16, 32, 64)]
     target = Fraction(4, 3)
     assert all(abs(v - target) < abs(u - target) for u, v in zip(values, values[1:]))
-    assert abs(values[-1] - target) < Fraction(1, 1000)
+    # the colength is a cubic in q from q = 1 on (`segre_colength`)
+    assert toric.leading_coefficient(lambda q: segre_colength(2, 2, q), 3) == target
 
 
 def test_segre_matches_engine():
@@ -72,11 +77,7 @@ def test_segre_matches_engine():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12))
 def test_segre_colength_matches_direct_alpha_sum(c, d, q):
-    direct = 0
-    for n in range(max(c, d) * (q - 1) + 1):
-        acq, adq = alpha_q(c, n, q), alpha_q(d, n, q)
-        direct += cf.alpha(c, n) * adq + acq * cf.alpha(d, n) - acq * adq
-    assert segre_colength(c, d, q) == direct
+    assert segre_colength(c, d, q) == segre_colength_by_alpha_q(c, d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -91,28 +92,24 @@ def test_veronese_beta_stable_range():
                     assert veronese_beta(d, c, n, c * q) == cf.alpha(d, c * n)
 
 
-def direct_veronese_beta(d, c, n, q):
-    return sum(
-        cf.alpha(d, l) * (-1) ** i * math.comb(d, i)
-        * cf.alpha(d, c * (n - l * q - i * q))
-        for l in range(c)
-        for i in range(d + 1)
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4))
 def test_veronese_rees_matches_direct_alpha_sum(c, d, q):
     cq = c * q
     # generous range: beta vanishes from n = (c+d-1)q on
     top = max(c + d + 1, 2 * c) * q
-    betas = [direct_veronese_beta(d, c, n, q) for n in range(top)]
+    betas = [veronese_beta_by_alpha(d, c, n, q) for n in range(top)]
     assert not any(betas[(c + d - 1) * q:])
     assert [veronese_beta(d, c, n, cq) for n in range(len(betas))] == betas
-    direct = sum((n + 1) * b for n, b in enumerate(betas))
-    for n in range(2 * cq - 1):
-        direct += alpha_q(2, n, cq) * (cf.alpha(d, c * n) - betas[n])
-    assert veronese_rees_colength(c, d, q) == direct
+    assert veronese_rees_colength(c, d, q) == veronese_rees_colength_by_alpha_q(c, d, q)
+
+
+def veronese_rees_limit(c, d):
+    """lim colength / (cq)^(d+1): the colength is a polynomial in q of
+    degree d + 1 from q = 1 on (`veronese_rees_colength`), so its leading
+    coefficient over c^(d+1)."""
+    lead = toric.leading_coefficient(lambda q: veronese_rees_colength(c, d, q), d + 1)
+    return lead / c ** (d + 1)
 
 
 def test_veronese_rees_converges_to_closed_form():
@@ -122,20 +119,17 @@ def test_veronese_rees_converges_to_closed_form():
         for q in (4, 8, 16, 32)
     ]
     assert all(abs(v - target) < abs(u - target) for u, v in zip(values, values[1:]))
-    assert abs(values[-1] - target) < Fraction(1, 50)
+    assert veronese_rees_limit(2, 2) == target
 
 
 def test_veronese_rees_c1_is_polynomial_base():
     for d in (2, 3):
-        target = cf.c_of_d(d)
-        v = Fraction(veronese_rees_colength(1, d, 32), 32 ** (d + 1))
-        assert abs(v - target) < Fraction(1, 10)
+        assert veronese_rees_limit(1, d) == cf.c_of_d(d)
 
 
 def test_veronese_rees_general_case_converges():
     target = cf.veronese_rees_ehk_general(cf.VeroneseParams(2, 3))
-    v = Fraction(veronese_rees_colength(2, 3, 32), 64**4)
-    assert abs(v - target) < target * Fraction(3, 100)
+    assert veronese_rees_limit(2, 3) == target
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +243,22 @@ def test_quotient_length_matches_row_scan(num, j, k):
     assert quotient_length(num, den) == scan
 
 
+def rees_maximal_limit(m, n):
+    """lim colength / q^3 of the Rees algebra of (x^m, y^n): the colength
+    is a cubic in q on L, 2L, ... with L = lcm(m, n) (`ci_rees_colength`)."""
+    ideal = MonomialIdeal2D.from_gens([(m, 0), (0, n)])
+    period = math.lcm(m, n)
+    return toric.leading_coefficient(
+        lambda q: rees_monomial_colength(ideal, q, "maximal-ideal"), 3, period, period)
+
+
 def test_rees_maximal_mode_regular_base():
-    ideal = MonomialIdeal2D.from_gens([(1, 0), (0, 1)])
-    target = Fraction(4, 3)
-    values = [
-        Fraction(rees_monomial_colength(ideal, q, "maximal-ideal"), q**3)
-        for q in (8, 16, 32)
-    ]
-    assert abs(values[-1] - target) < Fraction(1, 20)
+    assert rees_maximal_limit(1, 1) == Fraction(4, 3)
 
 
 def test_rees_maximal_mode_ci_ideals():
     for m, n in [(2, 2), (3, 2)]:
-        ideal = MonomialIdeal2D.from_gens([(m, 0), (0, n)])
-        target = cf.ci_rees_values(m, n).ehk_rees
-        v = Fraction(rees_monomial_colength(ideal, 32, "maximal-ideal"), 32**3)
-        assert abs(v - target) < target * Fraction(3, 100), (m, n)
+        assert rees_maximal_limit(m, n) == cf.ci_rees_values(m, n).ehk_rees, (m, n)
 
 
 def test_rees_ideal_power_mode():
@@ -601,13 +595,15 @@ def test_semigroup_extrees_pinned_large_q(gens, q, value):
     assert semigroup_extrees_colength(Semigroup2D(gens), q) == value
 
 
+def normal_limit(counter, s, dim):
+    """lim counter(s, q) / q^dim for normal S: the colength is a polynomial
+    in q of degree dim on the class of q = 1 mod `toric.period(s, dim)`."""
+    return toric.leading_coefficient(
+        lambda q: counter(s, q), dim, toric.period(s, dim), 1)
+
+
 def test_semigroup_ehk_binomial_an_converges():
-    s = semigroup_binomial_an(3)
-    target = Fraction(5, 3)
-    values = [
-        Fraction(semigroup_ehk_colength(s, q), q * q) for q in (8, 16, 32)
-    ]
-    assert abs(values[-1] - target) < Fraction(1, 100)
+    assert normal_limit(semigroup_ehk_colength, semigroup_binomial_an(3), 2) == Fraction(5, 3)
 
 
 def test_semigroup_matches_engine():
@@ -623,11 +619,7 @@ def test_semigroup_matches_engine():
 
 
 def test_semigroup_extrees_regular():
-    s = Semigroup2D(((0, 1), (1, 0)))
-    values = [
-        Fraction(semigroup_extrees_colength(s, q), q**3) for q in (4, 8, 16)
-    ]
-    assert abs(values[-1] - 1) < Fraction(1, 10)
+    assert normal_limit(semigroup_extrees_colength, Semigroup2D(((0, 1), (1, 0))), 3) == 1
 
 
 def test_semigroup_extrees_veronese_exact():
@@ -643,7 +635,7 @@ def test_semigroup_extrees_binomial_an_converges():
         Fraction(semigroup_extrees_colength(s, q), q**3) for q in (8, 16, 32)
     ]
     assert all(abs(v - target) < abs(u - target) for u, v in zip(values, values[1:]))
-    assert abs(values[-1] - target) < Fraction(1, 100)
+    assert normal_limit(semigroup_extrees_colength, s, 3) == target
 
 
 @settings(max_examples=20, deadline=None)

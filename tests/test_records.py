@@ -32,6 +32,10 @@ def _binomial(k=2):
     return PureDifferenceBinomial((1, 1, 0), (0, 0, k))
 
 
+def _binomial4():
+    return PureDifferenceBinomial((1, 1, 0, 0), (0, 0, 1, 1))
+
+
 # Each record type: two builds of one value, a build of another value, and
 # its fields in order.
 RECORDS = {
@@ -117,6 +121,12 @@ def test_record_defaults():
     (lambda: PureDifferenceBinomial((1, 0), (1, 0, 0)), "mismatched variable counts"),
     (lambda: PresentedQuotient(()), "need at least one variable"),
     (lambda: PresentedQuotient(("x",), dimension=0), "dimension must be >= 1"),
+    (lambda: PresentedQuotient(("x", "y", "z"), (_binomial4(),)),
+     "relation term (1, 1, 0, 0) has 4 exponents for 3 variables"),
+    (lambda: PresentedQuotient(("x", "y", "z"), (PureDifferenceBinomial((1, 0), (0, 1)),)),
+     "relation term (1, 0) has 2 exponents for 3 variables"),
+    (lambda: PresentedQuotient(("x", "y", "z"), (), ((0, 0, 0, 2),)),
+     "relation term (0, 0, 0, 2) has 4 exponents for 3 variables"),
     (lambda: Semigroup2D(((0, 1),)), "need at least two generators"),
     (lambda: Semigroup2D(((1, 1), (2, 0))), "a_i must satisfy"),
     (lambda: Semigroup2D(((0, 1), (1, 1))), "b_i must satisfy"),
@@ -134,10 +144,13 @@ def test_validating_records_reject_bad_arguments(build, message):
     (VeroneseParams(2, 3), {"d": 0}),
     (_binomial(), {"minus": (1, 1, 0)}),
     (PresentedQuotient(("x",)), {"dimension": 0}),
+    (PresentedQuotient(("x", "y", "z"), (_binomial(),)), {"binomials": (_binomial4(),)}),
+    (PresentedQuotient(("x", "y", "z"), (_binomial(),)), {"variables": ("x", "y")}),
     (Semigroup2D(((0, 1), (1, 0))), {"generators": ((0, 1),)}),
     (ColengthSample(2, 3), {"q": 0}),
 ], ids=["SegreParams", "VeroneseParams", "PureDifferenceBinomial",
-        "PresentedQuotient", "Semigroup2D", "ColengthSample"])
+        "PresentedQuotient", "PresentedQuotient-relation-length",
+        "PresentedQuotient-variable-count", "Semigroup2D", "ColengthSample"])
 def test_make_and_replace_check_like_the_constructor(good, bad):
     fields = {**good._asdict(), **bad}
     with pytest.raises(ParameterError) as expected:
