@@ -6,11 +6,13 @@ JSON file.  A hit requires the description hash, q, and engine version to
 all match; bumping ENGINE_VERSION invalidates every old entry without
 touching the file.
 
-Opening the cache only reads the file.  The last valid record for a key
-wins, so a lookup reads the file newest first and stops at the first
-valid record for its key: a hit on a recent record decodes a line or two
-near the end, and a miss reads every line that can hold its hash once.
-A put appends in place and reuses the lookups before it.
+Opening the cache reads only the file's tail, its last 32 KiB or more
+from a line start; the first lookup that gets past the tail reads the
+rest, the head, once.  The last valid record for a key wins, so a lookup
+reads the file newest first and stops at the first valid record for its
+key: a hit on a recent record decodes a line or two near the end and
+never reads the head, and a miss reads every line that can hold its hash
+once.  A put appends in place and reuses the lookups before it.
 """
 
 from __future__ import annotations
@@ -25,14 +27,21 @@ ENGINE_VERSION = "1"
 # of the load time of a large cache; _parse checks the end offset itself.
 _decode = json.JSONDecoder().raw_decode
 
-# A lookup's first window: at least this many bytes from the end of the
-# file.  CPython's bytes.find uses its faster two-way search for a 64-byte
-# needle only in 30,000 bytes or more.
+# The tail, a lookup's first window, holds at least this many bytes from
+# the end of the file.  CPython's bytes.find uses its faster two-way search
+# for a 64-byte needle only in 30,000 bytes or more.
 _WINDOW = 32768
 
 
 def _key(description: str) -> str:
     return hashlib.sha256(description.encode("utf-8")).hexdigest()
+
+
+def _read(fh, size: int = -1) -> bytes:
+    """The next size bytes of fh (all of them by default), every \\r made a
+    line end: a text-mode read also ends lines at \\r, and the blank line
+    this leaves inside \\r\\n is skipped like any other."""
+    return fh.read(size).replace(b"\r", b"\n")
 
 
 def _parse(lines) -> tuple[dict[tuple[str, int], int], int]:
@@ -64,71 +73,100 @@ def _parse(lines) -> tuple[dict[tuple[str, int], int], int]:
 class ColengthCache:
     def __init__(self, path: str):
         self.path = path
-        self._data = bytearray()  # the file as loaded, plus this instance's puts
-        self._found = None  # [hash, {q: count}, frontier] of the last lookup
         self._load()
 
     def _load(self):
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as fh:
-                # read straight into a bytearray, so puts append in place
-                data = bytearray(os.fstat(fh.fileno()).st_size)
-                del data[fh.readinto(data):]
-            if b"\r" in data:
-                # a text-mode read also ends lines at \r; the blank line
-                # this leaves inside \r\n is skipped like any other
-                data = data.replace(b"\r", b"\n")
-            self._data = data
+        """Read the tail, the last _WINDOW bytes or more from a line start,
+        and forget every earlier read.  The last 2 * _WINDOW bytes are
+        read, and the tail starts at the last line start in their first
+        half; when that half holds no line end, the tail is the whole file."""
+        tail, start, cut = bytearray(), 0, 0
+        try:
+            with open(self.path, "rb", buffering=0) as fh:
+                start = max(fh.seek(0, 2) - 2 * _WINDOW, 0)
+                fh.seek(start)
+                tail = bytearray(_read(fh))  # puts append to it in place
+                cut = start and tail.rfind(b"\n", 0, len(tail) - _WINDOW) + 1
+                if start and not cut:  # a line longer than _WINDOW
+                    fh.seek(0)
+                    tail[:0] = _read(fh, start)
+                    start = 0
+        except FileNotFoundError:
+            pass  # a new cache, or one another process cleared
+        del tail[:cut]
+        self._tail = tail  # the file from _base on, plus this instance's puts
+        self._base = start + cut  # the file offset where the tail starts
+        self._head = None  # the file before _base, once a scan has read it
+        self._found = None  # [hash, {q: count}, frontier] of the last lookup
+
+    def _read_head(self) -> bytes:
+        """The file before the tail, read the first time a scan reaches it.
+        A file removed since _load has an empty head, and one replaced
+        since gives its first _base bytes, so a lookup finds only records
+        that one of the two files holds."""
+        if self._head is None:
+            try:
+                with open(self.path, "rb", buffering=0) as fh:
+                    self._head = _read(fh, self._base)
+            except FileNotFoundError:
+                self._head = b""
+        return self._head
+
+    def _scan(self):
+        """Every valid record and the rejected-line count, from a full scan."""
+        return _parse(self._read_head().splitlines() + self._tail.splitlines())
 
     @property
     def _entries(self) -> dict[tuple[str, int], int]:
-        """Every valid record, from a full scan of the file."""
-        return _parse(self._data.splitlines())[0]
+        """Every valid record, from a full scan."""
+        return self._scan()[0]
 
     @property
     def rejected(self) -> int:
         """Torn, malformed and non-UTF-8 lines, from a full scan."""
-        return _parse(self._data.splitlines())[1]
+        return self._scan()[1]
 
     def _lookup(self, h: str, q: int) -> int | None:
         """The count of the newest valid record for (h, q), or None.
 
-        The file is read from its end in two windows that start at line
-        starts: the last _WINDOW bytes or more, then everything before
-        them.  A window's candidates are its lines holding h or a
+        The file is read from its end in two windows, each a buffer that
+        starts at a line start: the tail, then the head, which is read
+        only now.  A window's candidates are its lines holding h or a
         backslash; every record with hash h is among them, because a JSON
         string spells a hex digit either literally or as a \\u escape.
         They are decoded from the last one back until a valid record for
         (h, q) turns up.  _found keeps, for the last hash looked up, the
-        newest count of each q read so far and the frontier before which
-        nothing has been read, so the next lookup of that hash resumes
-        there; a put adds its own record."""
+        newest count of each q read so far and the file offset before
+        which nothing has been read, so the next lookup of that hash
+        resumes there; a put adds its own record."""
         found = self._found
         if found is None or found[0] != h:
-            found = self._found = [h, {}, len(self._data)]
+            found = self._found = [h, {}, self._base + len(self._tail)]
         _, counts, f = found
-        data = self._data
-        s = data.rfind(b"\n", 0, f - _WINDOW) + 1 if f > _WINDOW else 0
         while q not in counts and f:
-            lines = {}
+            if f > self._base:
+                data, base = self._tail, self._base
+            else:
+                data, base = self._read_head(), 0
+            stop, lines = f - base, {}
             for needle in (h.encode("ascii"), b"\\"):
-                i = data.find(needle, s, f)
+                i = data.find(needle, 0, stop)
                 while i >= 0:
                     start = data.rfind(b"\n", 0, i) + 1
                     end = data.find(b"\n", i)
                     if end < 0:
                         end = len(data)
                     lines[start] = end
-                    i = data.find(needle, end, f)
+                    i = data.find(needle, end, stop)
             for start in sorted(lines, reverse=True):
                 for (g, r), count in _parse([data[start:lines[start]]])[0].items():
                     if g == h:
                         counts.setdefault(r, count)  # the newest wins
                 if q in counts:
-                    f = start
+                    f = base + start
                     break
             else:
-                f, s = s, 0
+                f = base
         found[2] = f
         return counts.get(q)
 
@@ -147,7 +185,7 @@ class ColengthCache:
             "description": description,
         }
         line = json.dumps(rec, sort_keys=True).encode("utf-8") + b"\n"
-        if self._data and not self._data.endswith(b"\n"):  # end a torn last line
+        if self._tail and not self._tail.endswith(b"\n"):  # end a torn last line
             line = b"\n" + line
         try:
             fh = open(self.path, "ab")
@@ -156,7 +194,7 @@ class ColengthCache:
             fh = open(self.path, "ab")
         with fh:
             fh.write(line)
-        self._data += line
+        self._tail += line
         self._found[1][q] = count  # as a new lookup would read the appended line
 
     def entries(self) -> list[dict]:
@@ -167,10 +205,11 @@ class ColengthCache:
         ]
 
     def clear(self):
-        self._data = bytearray()
-        self._found = None
-        if os.path.exists(self.path):
+        try:
             os.remove(self.path)
+        except FileNotFoundError:
+            pass
+        self._load()
 
 
 def cached_counter(preset, cache: ColengthCache):

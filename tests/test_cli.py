@@ -360,6 +360,165 @@ def test_cache_put_creates_its_directory_only_when_missing(tmp_path, monkeypatch
     assert ColengthCache(str(path)).get("a", 4) == 7
 
 
+class _SpiedFile:
+    """A file whose reads are logged as (offset, bytes read)."""
+
+    def __init__(self, fh, reads):
+        self._fh, self._reads = fh, reads
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, *args):
+        at = self._fh.tell()
+        data = self._fh.read(*args)
+        self._reads.append((at, len(data)))
+        return data
+
+    def readinto(self, buf):
+        at = self._fh.tell()
+        n = self._fh.readinto(buf)
+        self._reads.append((at, n))
+        return n
+
+
+def _spy_reads(monkeypatch):
+    """Every read the cache module makes from a file it opens."""
+    reads = []
+
+    def spied(*args, **kw):
+        return _SpiedFile(open(*args, **kw), reads)
+
+    monkeypatch.setattr(cache_mod, "open", spied, raising=False)
+    return reads
+
+
+def _write_long_file(path, *records):
+    """_write_records with enough fillers before the records for a file
+    of at least 20 windows."""
+    _write_records(path, *range(20 * cache_mod._WINDOW // 90), *records)
+    size = path.stat().st_size
+    assert size >= 20 * cache_mod._WINDOW
+    return size
+
+
+def test_cache_hit_reads_only_the_tail(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    size = _write_long_file(path, (2, 5), (4, 7))
+    reads = _spy_reads(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert cache.get("a", 2) == 5 and cache.get("a", 4) == 7
+    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW)]
+
+
+def test_cache_miss_reads_the_head_once(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    size = _write_long_file(path, (8, 1))
+    reads = _spy_reads(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW)]
+    assert cache.get("a", 2) is None
+    head = size - len(cache._tail)
+    assert size - 2 * cache_mod._WINDOW < head <= size - cache_mod._WINDOW
+    assert reads[1:] == [(0, head)]
+    assert cache.get("a", 4) is None  # the ladder's second q
+    cache.put("a", 2, 5)
+    cache.put("a", 4, 7)
+    assert len(reads) == 2
+    assert ColengthCache(str(path)).get("a", 2) == 5
+
+
+def test_cache_scan_after_a_tail_hit_matches_full_parse(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    _write_long_file(path, (2, 6))
+    data = path.read_bytes()
+    good = {"hash": _key("a"), "q": 4, "count": 7, "version": ENGINE_VERSION}
+    old = (json.dumps(good) + "\r\n{torn\r\n").encode()  # rejected, in the head
+    new = b"not json\n" + json.dumps(dict(good, q=3)).encode() + b"\n"
+    path.write_bytes(old + data + new)
+    size = path.stat().st_size
+    entries, rejected = reference_load(path)
+    reads = _spy_reads(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert cache.get("a", 2) == 6
+    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW)]
+    assert cache.entries() == [
+        {"hash": h, "q": q, "count": c, "version": ENGINE_VERSION}
+        for (h, q), c in sorted(entries.items())
+    ]
+    assert cache.rejected == rejected == 2
+    assert len(reads) == 2 and reads[1][0] == 0  # the head, read once
+    assert cache.get("a", 4) == 7
+    assert len(reads) == 2
+
+
+def test_cache_open_survives_the_file_removed_before_it_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    _write_records(path, (2, 5))
+
+    def removed_first(*args, **kw):  # a concurrent `cache clear` wins the race
+        if os.path.exists(path):
+            path.unlink()
+        return open(*args, **kw)
+
+    monkeypatch.setattr(cache_mod, "open", removed_first, raising=False)
+    cache = ColengthCache(str(path))
+    assert cache.get("a", 2) is None
+    assert cache.entries() == [] and cache.rejected == 0
+
+
+@pytest.mark.parametrize("replacement", [None, b"", b"{torn", "longer"])
+def test_cache_lookup_survives_the_file_changed_before_the_head_is_read(
+        tmp_path, replacement):
+    """Another process clears or rewrites the file after ColengthCache()
+    read the tail: a lookup that reaches the head gives a miss or a record
+    that one of the two files holds."""
+    path = tmp_path / "c.jsonl"
+    _write_records(path, (2, 5), *range(20 * cache_mod._WINDOW // 90), 3)
+    old, _ = reference_load(path)
+    cache = ColengthCache(str(path))
+    if replacement is None:
+        path.unlink()
+    elif replacement == "longer":
+        _write_records(path, (2, 9), (4, 1), *range(8000))
+    else:
+        path.write_bytes(replacement)
+    new = reference_load(path)[0] if path.exists() else {}
+    held = [old, new]
+    for desc, q in [("a", 2), ("a", 4), ("filler 3", 2), ("filler 7999", 2)]:
+        got = cache.get(desc, q)
+        assert got is None or any(got == e.get((_key(desc), q)) for e in held)
+    assert cache.get("filler 3", 2) == 3  # in the tail, read before the change
+    for rec in cache.entries():
+        assert any(rec["count"] == e.get((rec["hash"], rec["q"])) for e in held)
+
+
+def test_cached_oracle_survives_a_clear_before_the_head_is_read(
+        capsys, tmp_path, monkeypatch):
+    argv = ["oracle", "--preset", "ci-rees", "--m", "1", "--n", "1",
+            "--q", "2,4", "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "colengths.jsonl"
+    _write_long_file(path)
+    real = ColengthCache._load
+
+    def cleared_after_load(self):  # another process's `cache clear`
+        real(self)
+        os.remove(self.path)
+
+    monkeypatch.setattr(ColengthCache, "_load", cleared_after_load)
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, plain, "")
+    monkeypatch.undo()
+    assert ColengthCache(str(path)).get("ci-rees m=1 n=1", 4) == 84
+
+
 def test_put_ends_a_torn_last_line(capsys, tmp_path):
     path = tmp_path / "colengths.jsonl"
     path.write_text('{"count": 5, "hash": "ab')
