@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         return 3
     except (OverflowError, RecursionError) as exc:
         # past what a counter can hold: a box side beyond the machine word,
-        # or one slab frame per variable beyond the recursion limit
+        # or one slab frame per coupled variable beyond the recursion limit
         print(f"error: too large to compute: {exc}", file=sys.stderr)
         return 3
 

@@ -13,10 +13,9 @@ for every Groebner basis G of J, so only `buchberger`'s own output pays
 for the inter-reduction.
 
 "a divides b" is tested on the exponent tuples, one comparison per
-variable.  Packing the exponents into guarded integer fields made that
-test cheaper on bases of 35 elements or more, but the bases the
-benchmark workloads build have at most about 20, where the two cost the
-same; the tuple test needs no field widths.
+variable.  That suffices: the bases that the benchmark workloads build
+have at most about 20 elements, where packing the exponents into
+integers saves nothing.
 """
 
 from __future__ import annotations
@@ -418,22 +417,28 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
     Requires a pure power of every variable among the generators (so the
     count is finite), or the monomial 1, which gives 0.  Fewer than three
     variables are padded in front with variables whose first power is in
-    the ideal, which leaves the count unchanged.  Splits on one variable
-    at a time: the generators that can still divide a point change only at
-    their own exponents in that variable, so each slab between consecutive
-    exponents is counted once and multiplied by its width.
+    the ideal, which leaves the count unchanged.
 
-    The third-to-last variable is swept instead: its generators are
-    inserted in the order of their exponent there, into one staircase of
-    the last two exponents.  The staircase keeps its corners as two
-    lists, x ascending and y strictly descending, and the number of
-    points under it (its area).  It starts as the box of the last two
-    pure powers, and its corners stay the minimal generators inserted so
-    far, so each slab adds its width times the current area.  Inserting
-    (a, b) takes one bisection, one step per corner it removes (each
-    corner is inserted once) and one list splice.  So a sweep over n
-    generators takes O(n log n) steps beside the splices' memory moves,
-    where a fresh staircase per slab took O(n^2 log n).
+    One slab walk serves every variable x_i up to the third-to-last.  It
+    sorts the generators that can still divide a point by their exponent
+    of x_i.  That set changes only at those exponents, so each slab
+    between consecutive exponents is counted once and multiplied by its
+    width, and the pure power of x_i ends the walk.  Above the
+    third-to-last variable a slab's count is the walk over x_(i+1).  At
+    the third-to-last it is the area of a staircase of the last two
+    exponents, into which each generator enters in turn.  The staircase
+    keeps its corners as two lists, x ascending and y strictly
+    descending, and its area.  It starts as the box of the last two pure
+    powers, and its corners stay the minimal generators entered so far.
+    Entering (a, b) takes one bisection, one step per corner it removes
+    (each corner enters once) and one list splice.  So a walk over n
+    generators takes O(n log n) steps beside the splices' memory moves.
+
+    A level where only the pure power of x_i uses x_i (x_i is free there)
+    is one slab: the walk multiplies by its width and goes on to x_(i+1)
+    in the same frame.  A level of two or more slabs still recurses, one
+    slab frame per coupled variable, so about 1,000 coupled variables
+    still pass Python's recursion limit.
     """
     if not gens:
         raise DimensionError("empty generating set has infinite colength")
@@ -460,50 +465,54 @@ def count_standard_monomials(gens: list[Monomial]) -> int:
         bounds = [1] * pad + bounds
         nvars = 3
     width, height = bounds[-2:]
-    last_three = itemgetter(slice(nvars - 3, None))
 
     def count(idx: int, active: list[Monomial]) -> int:
         # `active` holds the generators that divide the chosen point in the
         # variables before idx.  The pure powers of the remaining variables
-        # are always among them, so it is never empty.
-        if idx == nvars - 3:
-            xs, ys, area = [0, width], [height, 0], width * height
-            total = lo = 0
-            for c, a, b in sorted(map(last_three, active)):
-                if c > lo:
-                    total += (c - lo) * area
-                    lo = c
-                i = bisect_right(xs, a) - 1  # the height at a is ys[i]
-                if ys[i] <= b:
-                    continue  # a corner divides (a, b)
-                # cut the area above b, from a to where the height drops to b
-                j = i + 1
-                area -= (xs[j] - a) * (ys[i] - b)
-                while ys[j] > b:
-                    area -= (xs[j + 1] - xs[j]) * (ys[j] - b)
-                    j += 1
-                # (a, b) replaces the corners it divides: i's when xs[i] == a,
-                # those between, and j's when ys[j] == b
-                if xs[i] < a:
-                    i += 1
-                if ys[j] == b:
-                    j += 1
-                xs[i:j] = (a,)
-                ys[i:j] = (b,)
-                if not area:
-                    break  # the pure power of x_idx: every later slab is empty
-            return total
-        # Slabs run from one exponent of x_idx among the generators to the
-        # next; the pure power of x_idx ends the last one.
-        active = sorted(active, key=itemgetter(idx))
-        total, k = 0, 0
+        # are always among them, so it has at least three.
+        scale = 1
         while True:
-            lo = active[k][idx]
-            while active[k][idx] == lo:
-                if not any(active[k][idx + 1:]):
-                    return total  # x_idx^lo already divides every extension
+            active = sorted(active, key=itemgetter(idx))
+            sweep = idx == nvars - 3
+            if sweep or active[-2][idx]:
+                break
+            # one slab: the pure power of x_idx, sorted last, is the only
+            # generator that uses x_idx
+            scale *= active.pop()[idx]
+            idx += 1
+        xs, ys, area = [0, width], [height, 0], width * height
+        total = lo = k = 0  # above the sweep, active[:k] precede g
+        for g in active:
+            c = g[idx]
+            if c > lo:
+                total += (c - lo) * (area if sweep else count(idx + 1, active[:k]))
+                lo = c
+            if not sweep:
+                if not any(g[idx + 1:]):
+                    break  # x_idx^c already divides every extension
                 k += 1
-            total += (active[k][idx] - lo) * count(idx + 1, active[:k])
+                continue
+            a, b = g[-2], g[-1]  # the sweep: g enters the staircase
+            i = bisect_right(xs, a) - 1  # the height at a is ys[i]
+            if ys[i] <= b:
+                continue  # a corner divides (a, b)
+            # cut the area above b, from a to where the height drops to b
+            j = i + 1
+            area -= (xs[j] - a) * (ys[i] - b)
+            while ys[j] > b:
+                area -= (xs[j + 1] - xs[j]) * (ys[j] - b)
+                j += 1
+            # (a, b) replaces the corners it divides: i's when xs[i] == a,
+            # those between, and j's when ys[j] == b
+            if xs[i] < a:
+                i += 1
+            if ys[j] == b:
+                j += 1
+            xs[i:j] = (a,)
+            ys[i:j] = (b,)
+            if not area:
+                break  # the pure power of x_idx: every later slab is empty
+        return scale * total
 
     return count(0, gens)
 

@@ -818,8 +818,15 @@ def test_oracle_rejects_flags_its_family_does_not_take(capsys, argv, err):
     ("presentation",
      "vars: x y z\nbin: x*y - z^2\norder: lex\ndim: 2\norder: grevlex\n",
      "error: repeated order: line\n"),
+    ("presentation", "vars: x y z\nbin: x**y - z^2\ndim: 2\n",
+     "error: empty factor in monomial 'x**y'\n"),
+    ("presentation", "vars: x y z\nbin: x*y - z^2\nmono: x^-2\ndim: 2\n",
+     "error: negative exponent in 'x^-2'\n"),
+    ("presentation", "vars: x y z\nbin: x*y - z^2\ndim: 2\norder: lex x>y>w\n",
+     "error: order chain 'x>y>w' does not match vars\n"),
 ], ids=["repeated-variable", "non-integer-coordinate", "empty-exponent",
-        "non-integer-dim", "repeated-vars", "repeated-dim", "repeated-order"])
+        "non-integer-dim", "repeated-vars", "repeated-dim", "repeated-order",
+        "empty-factor", "negative-exponent", "order-chain-names-another-variable"])
 def test_oracle_rejects_malformed_file_exit_3(capsys, tmp_path, preset, text, err):
     f = tmp_path / "input.txt"
     f.write_text(text)
@@ -1012,6 +1019,12 @@ def test_cache_command(capsys, tmp_path):
     assert "0 entries" in out
 
 
+def test_cache_clear_without_a_cache_file(capsys, tmp_path):
+    got = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert got == (0, "cache cleared\n", "")
+    assert not any(tmp_path.iterdir())
+
+
 
 @pytest.mark.parametrize("argv", [
     ["cache", "inspect", "--cache-dir", ""],
@@ -1150,9 +1163,9 @@ def test_box_past_the_machine_word_exit_3(capsys, tmp_path, preset):
 
 
 def test_recursion_limit_exit_3(capsys, monkeypatch):
-    """A count that recurses past the limit, as the slab recursion does at
-    about 1,000 variables, gives one line and exit 3.  n = 1 has no toric
-    twin, so the engine counts at q."""
+    """A count that recurses past the limit, as the slab walk does with one
+    slab frame per coupled variable at about 1,000 of them, gives one line
+    and exit 3.  n = 1 has no toric twin, so the engine counts at q."""
     from hkrees import engine
 
     def too_deep(*args):
@@ -1162,6 +1175,18 @@ def test_recursion_limit_exit_3(capsys, monkeypatch):
     got = run_cli(capsys, "oracle", "--preset", "an-hypersurface", "--n", "1",
                   "--q", "2,4")
     assert got == (3, "", "error: too large to compute: maximum recursion depth exceeded\n")
+
+
+def test_polynomial_ring_in_1100_variables(capsys, tmp_path):
+    """Every variable of a polynomial ring is free, so the count takes no
+    slab frame per variable and stays far below the recursion limit; the
+    colength at q is q^1100."""
+    f = tmp_path / "poly1100.txt"
+    f.write_text("vars: " + " ".join(f"x{i}" for i in range(1100)) + "\ndim: 1100\n")
+    code, out, err = run_cli(capsys, "oracle", "--preset", "presentation",
+                             "--file", str(f), "--q", "2,3", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["samples"] == [[2, 2**1100], [3, 3**1100]]
 
 
 def test_oracle_drops_repeated_semigroup_generators(capsys, tmp_path):

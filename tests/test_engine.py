@@ -341,19 +341,24 @@ def test_count_standard_monomials_against_brute_force():
 
 @st.composite
 def artinian_monomial_ideals(draw):
-    """Generators of a random Artinian monomial ideal in 1-5 variables: a
+    """Generators of a random Artinian monomial ideal in 1-8 variables: a
     pure power of every variable, a few larger pure powers and mixed
-    monomials, then multiples of drawn generators (which those divide)
-    and exact repeats."""
-    nvars = draw(st.integers(1, 5))
+    monomials on a drawn subset of the variables, then multiples of drawn
+    generators (which those divide) and exact repeats.  A variable that
+    only pure powers use is free.  Above five variables the exponents stay
+    small, so that brute force stays quick."""
+    nvars = draw(st.integers(1, 8))
+    top = 4 if nvars <= 5 else 2
     gens = [
-        tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(nvars))
+        tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(nvars))
         for i in range(nvars)
     ]
     for i in draw(st.lists(st.integers(0, nvars - 1), max_size=2)):
-        gens.append(tuple(draw(st.integers(gens[i][i] + 1, 5)) if j == i else 0
+        gens.append(tuple(draw(st.integers(gens[i][i] + 1, top + 1)) if j == i else 0
                           for j in range(nvars)))
-    mixed = st.tuples(*[st.integers(0, 4)] * nvars).filter(any)
+    used = draw(st.sets(st.integers(0, nvars - 1), min_size=1))
+    mixed = st.tuples(*[st.integers(0, top) if j in used else st.just(0)
+                        for j in range(nvars)]).filter(any)
     gens += draw(st.lists(mixed, max_size=6))
     for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
         gens.append(tuple(e + draw(st.integers(0, 1)) for e in g))
@@ -384,16 +389,19 @@ def test_count_insertion_on_an_existing_corner_x():
 
 @st.composite
 def large_artinian_monomial_ideals(draw):
-    """Generators of a random Artinian monomial ideal in 3-6 variables,
+    """Generators of a random Artinian monomial ideal in 3-8 variables,
     up to 60 of them, with exponents up to 40: beyond brute force.  The
-    mixed generators stay within the pure powers, so that most of them
-    enter the staircases."""
-    nvars = draw(st.integers(3, 6))
+    mixed generators use a drawn subset of the variables, so a variable
+    that only its pure power uses is free, and they stay within the pure
+    powers, so that most of them enter the staircases."""
+    nvars = draw(st.integers(3, 8))
     powers = draw(st.lists(st.integers(1, 40), min_size=nvars, max_size=nvars))
     gens = [tuple(e if j == i else 0 for j in range(nvars)) for i, e in enumerate(powers)]
+    used = draw(st.sets(st.integers(0, nvars - 1), min_size=1))
     # a drawn size: left to itself, st.lists rarely draws long lists
     size = draw(st.integers(0, 60 - nvars))
-    mixed = st.tuples(*[st.integers(0, e) for e in powers]).filter(any)
+    mixed = st.tuples(*[st.integers(0, e) if j in used else st.just(0)
+                        for j, e in enumerate(powers)]).filter(any)
     gens += draw(st.lists(mixed, min_size=size, max_size=size))
     return draw(st.permutations(gens))
 
