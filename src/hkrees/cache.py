@@ -13,6 +13,21 @@ reads the file newest first and stops at the first valid record for its
 key: a hit on a recent record decodes a line or two near the end and
 never reads the head, and a miss reads every line that can hold its hash
 once.  A put appends in place and reuses the lookups before it.
+
+A miss need not read the head: beside the file lies a disposable index,
+<path>.idx, written from the head by the first miss that reads the head
+and finds no valid index.  It records the head's length L, the 64 bytes
+before L, and the 8-digit prefix of every quoted 64-hex-digit token in
+the head; as the head holds no backslash (else no index is written), no
+record of a hash whose prefix is missing lies before L.  The index is
+valid while the file still holds those 64 bytes before L and L lies in
+the 2 * _WINDOW bytes before the tail; then a miss whose prefix the index
+lacks reads only the gap from L to the tail.  Any other miss reads the
+head as before, and only a missing or invalid index is rewritten.  An
+index that is stale all the same (the file rewritten around its 64
+bytes) can only make a lookup skip records: the caller then recounts the
+exact value and appends it again, so cached output equals uncached
+output.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 ENGINE_VERSION = "1"
 
@@ -97,6 +113,7 @@ class ColengthCache:
         self._tail = tail  # the file from _base on, plus this instance's puts
         self._base = start + cut  # the file offset where the tail starts
         self._head = None  # the file before _base, once a scan has read it
+        self._index = None  # _read_index(), once a lookup has reached the head
         self._found = None  # [hash, {q: count}, frontier] of the last lookup
 
     def _read_head(self) -> bytes:
@@ -111,6 +128,55 @@ class ColengthCache:
             except FileNotFoundError:
                 self._head = b""
         return self._head
+
+    def _read_index(self):
+        """(the file from L to _base, L, the index) when the index is
+        valid, else ()."""
+        try:
+            with open(self.path + ".idx", "rb", buffering=0) as fh:
+                index = fh.read()
+            length, mark = index[:index.find(b"\n")].split()
+            length = int(length)
+            if 64 <= length <= self._base <= length + 2 * _WINDOW:
+                with open(self.path, "rb", buffering=0) as fh:
+                    fh.seek(length - 64)
+                    gap = _read(fh, self._base - length + 64)
+                if gap[:64].hex().encode() == mark:
+                    return gap[64:], length, index
+        except (OSError, ValueError):
+            pass  # a missing, unreadable or garbled index
+        return ()
+
+    def _write_index(self, head: bytes):
+        """Index a head of 64 bytes or more that ends a line and holds no
+        backslash, through a temporary file."""
+        if len(head) < 64 or not head.endswith(b"\n") or b"\\" in head:
+            return
+        prefixes = re.findall(rb'"([0-9a-f]{8})[0-9a-f]{56}"', head)
+        prefixes.sort()
+        tmp = f"{self.path}.idx.{os.getpid()}"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(b"\n".join([b"%d %s" % (len(head), head[-64:].hex().encode()),
+                                     *prefixes, b""]))
+            os.replace(tmp, self.path + ".idx")
+        except OSError:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+
+    def _before_tail(self, h: str) -> tuple[bytes, int]:
+        """(data, base): the file from base to _base, which holds every
+        record of h before _base.  That is the gap from the index's L
+        when the index is valid and lacks h's prefix, else the head."""
+        if self._index is None:
+            self._index = self._read_index()
+            if not self._index:
+                self._write_index(self._read_head())
+        if self._index and b"\n%s\n" % h[:8].encode("ascii") not in self._index[2]:
+            return self._index[:2]
+        return self._read_head(), 0
 
     def _scan(self):
         """Every valid record and the rejected-line count, from a full scan."""
@@ -138,7 +204,8 @@ class ColengthCache:
         (h, q) turns up.  _found keeps, for the last hash looked up, the
         newest count of each q read so far and the file offset before
         which nothing has been read, so the next lookup of that hash
-        resumes there; a put adds its own record."""
+        resumes there; a put adds its own record.  In place of the head,
+        _before_tail may give the gap from the index's L."""
         found = self._found
         if found is None or found[0] != h:
             found = self._found = [h, {}, self._base + len(self._tail)]
@@ -147,7 +214,7 @@ class ColengthCache:
             if f > self._base:
                 data, base = self._tail, self._base
             else:
-                data, base = self._read_head(), 0
+                data, base = self._before_tail(h)
             stop, lines = f - base, {}
             for needle in (h.encode("ascii"), b"\\"):
                 i = data.find(needle, 0, stop)
@@ -166,7 +233,7 @@ class ColengthCache:
                     f = base + start
                     break
             else:
-                f = base
+                f = base if data is self._tail else 0  # the index vouches for [0, L)
         found[2] = f
         return counts.get(q)
 
@@ -209,6 +276,10 @@ class ColengthCache:
             os.remove(self.path)
         except FileNotFoundError:
             pass
+        try:
+            os.remove(self.path + ".idx")
+        except OSError:
+            pass  # a missing index, or one that cannot be removed
         self._load()
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -310,6 +311,66 @@ def test_cache_lookup_across_windows_matches_full_parse(
         assert cache.rejected == rejected
 
 
+SEPARATORS = st.sampled_from([b"\n", b"\r\n", b"\r"])
+COUNTED = {1: 1001, 2: 1002, 3: 1003}  # the values of the "counted" preset
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(cache_lines(), SEPARATORS), min_size=2, max_size=40),
+       st.integers(64, 256), st.data())
+def test_cache_lookup_with_any_index_state_matches_full_parse(
+        tmp_path_factory, lines, window, data):
+    """An index written from a line-start prefix of the file, then kept,
+    or the file appended to, truncated below L or rewritten at the same
+    length, or the index garbled or cut.  Gets and puts never raise; while
+    the index covers a prefix of the file, gets equal a full parse, and in
+    every state a get gives the full parse's count or None and
+    cached_counter gives the counter's own value."""
+    lines = list(lines)
+    if data.draw(st.booleans()):  # a head without a backslash gets an index
+        lines = [(line, sep) for line, sep in lines if b"\\" not in line]
+    for q in data.draw(st.lists(st.sampled_from(sorted(COUNTED)), max_size=6)):
+        rec = {"hash": _key("counted"), "q": q, "count": COUNTED[q], "version": ENGINE_VERSION}
+        lines.insert(data.draw(st.integers(0, len(lines))), (json.dumps(rec).encode(), b"\n"))
+    path = tmp_path_factory.mktemp("cache") / "c.jsonl"
+    path.write_bytes(b"".join(line + sep for line, sep in lines))
+    index = path.with_name("c.jsonl.idx")
+    state = data.draw(st.sampled_from(
+        ["keep", "append", "truncate", "rewrite", "garbage", "cut-index"]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cache_mod, "_WINDOW", window)
+        base = ColengthCache(str(path))._base
+        starts = [0, *itertools.accumulate(len(line + sep) for line, sep in lines)]
+        if data.draw(st.booleans()):  # mostly an index that a lookup may use
+            starts = [s for s in starts if 64 <= s <= base <= s + 2 * window] or starts
+        size = data.draw(st.sampled_from(starts[::-1]))  # the index's L
+        ColengthCache(str(path))._write_index(path.read_bytes()[:size].replace(b"\r", b"\n"))
+        old = path.read_bytes()
+        if state == "append":
+            more = data.draw(st.lists(st.tuples(cache_lines(), SEPARATORS), max_size=10))
+            path.write_bytes(old + b"".join(line + sep for line, sep in more))
+        elif state == "truncate":
+            path.write_bytes(old[:data.draw(st.integers(0, max(size - 1, 0)))])
+        elif state == "rewrite":  # new lines up to the 64 bytes before L
+            new = data.draw(st.lists(st.tuples(cache_lines(), SEPARATORS), max_size=40))
+            n = max(size - 64, 0)
+            path.write_bytes((b"".join(line + sep for line, sep in new) + b" " * n)[:n] + old[n:])
+        elif index.exists() and state == "garbage":
+            index.write_bytes(data.draw(st.binary(min_size=1, max_size=300)))
+        elif index.exists() and state == "cut-index":
+            index.write_bytes(index.read_bytes()[:data.draw(st.integers(0, index.stat().st_size))])
+        entries, _ = reference_load(path)
+        cache = ColengthCache(str(path))
+        for desc in CACHE_DESCS:
+            for q in (1, 2, 3):
+                got, want = cache.get(desc, q), entries.get((_key(desc), q))
+                assert got == want if state in ("keep", "append") else got in (None, want)
+        preset = presets.Preset(description="counted", dimension=1, counter=COUNTED.get)
+        for _ in range(2):  # the second pass reads what the first appended
+            counter = cached_counter(preset, ColengthCache(str(path)))
+            assert [counter(q) for q in (1, 2, 3)] == [1001, 1002, 1003]
+
+
 def _spy_decode(monkeypatch):
     decoded = []
     real = cache_mod._decode
@@ -434,6 +495,87 @@ def test_cache_miss_reads_the_head_once(tmp_path, monkeypatch):
     assert ColengthCache(str(path)).get("a", 2) == 5
 
 
+def _append_fillers(path, count):
+    """Append records of "filler 0" up to "filler count-1" at q = 3."""
+    rec = {"q": 3, "version": ENGINE_VERSION}
+    with open(path, "a") as fh:
+        fh.write("".join(json.dumps(dict(rec, hash=_key(f"filler {i}"), count=i),
+                                    sort_keys=True) + "\n" for i in range(count)))
+    return path.stat().st_size
+
+
+def test_cache_miss_without_an_index_writes_one(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    _write_long_file(path, (8, 1))
+    cache = ColengthCache(str(path))
+    reads = _spy_reads(monkeypatch)
+    assert cache.get("a", 2) is None
+    assert reads == [(0, cache._base)]  # the head, read once
+    index = (tmp_path / "c.jsonl.idx").read_bytes()
+    assert index.startswith(b"%d %s\n" % (cache._base, cache._read_head()[-64:].hex().encode()))
+    assert b"\n%s\n" % _key("filler 0")[:8].encode() in index
+    assert b"\n%s\n" % _key("a")[:8].encode() not in index  # (a, 8) is in the tail
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.idx"]
+
+
+def test_cache_miss_with_a_valid_index_reads_only_the_gap(tmp_path, monkeypatch):
+    """A fresh miss reads the tail, the index, and the file from 64 bytes
+    before the index's L to the tail: no byte before L - 64."""
+    path = tmp_path / "c.jsonl"
+    _write_long_file(path, (8, 1))
+    first = ColengthCache(str(path))
+    assert first.get("a", 2) is None
+    index = (tmp_path / "c.jsonl.idx").read_bytes()
+    size = _append_fillers(path, 100)  # the tail moves past L
+    reads = _spy_reads(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert cache._base > first._base
+    assert cache.get("a", 2) is None and cache.get("a", 4) is None
+    first_in_gap = json.loads(path.read_bytes()[first._base:].split(b"\n")[0])["count"]
+    assert cache.get(f"filler {first_in_gap}", 2) == first_in_gap
+    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW), (0, len(index)),
+                     (first._base - 64, cache._base - first._base + 64)]
+    cache.put("a", 2, 5)
+    assert len(reads) == 3
+    assert (tmp_path / "c.jsonl.idx").read_bytes() == index
+    assert ColengthCache(str(path)).get("a", 2) == 5
+
+
+def test_cache_miss_whose_prefix_the_index_lists_reads_the_head(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    _write_records(path, (2, 5), *range(20 * cache_mod._WINDOW // 90))
+    assert ColengthCache(str(path)).get("a", 4) is None  # writes the index
+    index = tmp_path / "c.jsonl.idx"
+    before = (index.read_bytes(), index.stat().st_ino)
+    reads = _spy_reads(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert cache.get("a", 4) is None and cache.get("a", 2) == 5
+    assert [at for at, _ in reads].count(0) == 2  # the index, then the head
+    assert reads[-1] == (0, cache._base)
+    assert (index.read_bytes(), index.stat().st_ino) == before
+
+
+@pytest.mark.parametrize("damage", ["garbage", "short", "shifted", "moved"])
+def test_cache_rewrites_an_invalid_index(tmp_path, damage):
+    path = tmp_path / "c.jsonl"
+    _write_long_file(path, (8, 1))
+    assert ColengthCache(str(path)).get("a", 2) is None
+    index = tmp_path / "c.jsonl.idx"
+    if damage == "garbage":
+        index.write_bytes(b"\x00garbage\n")
+    elif damage == "short":
+        index.write_bytes(index.read_bytes()[:10])
+    elif damage == "shifted":  # (a, 2) put in front: the 64 bytes before L differ
+        old = path.read_bytes()
+        _write_records(path, (2, 5))
+        path.write_bytes(path.read_bytes() + old)
+    else:  # the file grew by more than 2 windows past L
+        _append_fillers(path, 3 * cache_mod._WINDOW // 80)
+    cache = ColengthCache(str(path))
+    assert cache.get("a", 2) == (5 if damage == "shifted" else None)
+    assert index.read_bytes().startswith(b"%d " % cache._base)
+
+
 def test_cache_scan_after_a_tail_hit_matches_full_parse(tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
     _write_long_file(path, (2, 6))
@@ -517,6 +659,31 @@ def test_cached_oracle_survives_a_clear_before_the_head_is_read(
     assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, plain, "")
     monkeypatch.undo()
     assert ColengthCache(str(path)).get("ci-rees m=1 n=1", 4) == 84
+
+
+def test_cached_oracle_with_a_directory_at_the_index_path(capsys, tmp_path):
+    """The index cannot be read, written or removed: every command still
+    runs, and nothing is left behind."""
+    argv = ["oracle", "--preset", "ci-rees", "--m", "1", "--n", "1",
+            "--q", "2,4", "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _write_long_file(tmp_path / "colengths.jsonl")
+    (tmp_path / "colengths.jsonl.idx").mkdir()
+    for _ in range(2):  # cold, then warm from the head
+        assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, plain, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["colengths.jsonl", "colengths.jsonl.idx"]
+    got = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert got == (0, "cache cleared\n", "")
+
+
+def test_cache_clear_removes_the_index(capsys, tmp_path):
+    _write_long_file(tmp_path / "colengths.jsonl")
+    assert ColengthCache(str(tmp_path / "colengths.jsonl")).get("a", 2) is None
+    assert (tmp_path / "colengths.jsonl.idx").is_file()
+    got = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert got == (0, "cache cleared\n", "")
+    assert not any(tmp_path.iterdir())
 
 
 def test_put_ends_a_torn_last_line(capsys, tmp_path):
