@@ -76,6 +76,7 @@ def test_cache_round_trip(tmp_path):
     assert again.get("desc", 4) == 99
     assert again.get("desc", 8) is None
     assert again.get("other", 4) is None
+    assert os.listdir(tmp_path) == ["colengths.jsonl"]  # too short for an index
 
 
 def test_cache_counter_avoids_recomputation(tmp_path):
@@ -138,7 +139,8 @@ def test_cache_counts_rejected_lines(tmp_path):
 
 def reference_load(path):
     """The earlier full parse: every line of a text-mode read, the last
-    valid record winning for each (hash, q).  A line that is not UTF-8
+    valid record winning for each (hash, q), a record valid only when its
+    line spells its hash literally in quotes.  A line that is not UTF-8
     counts as rejected (the earlier parse stopped with an error there)."""
     decode = json.JSONDecoder().raw_decode
     entries, rejected = {}, 0
@@ -154,8 +156,8 @@ def reference_load(path):
                     if rec.get("version") != ENGINE_VERSION:
                         continue
                     h, q, count = rec["hash"], rec["q"], rec["count"]
-                    if (isinstance(h, str) and type(q) is int and q >= 1
-                            and type(count) is int and count >= 0):
+                    if (isinstance(h, str) and f'"{h}"' in line and type(q) is int
+                            and q >= 1 and type(count) is int and count >= 0):
                         entries[(h, q)] = count
                         continue
             except (ValueError, AttributeError, KeyError, TypeError):
@@ -195,8 +197,10 @@ def cache_lines(draw):
     elif kind == "duplicate-key":  # the decoder keeps the last "hash"
         other = _key(draw(st.sampled_from(CACHE_DESCS)))
         text = text.replace('"q"', f'"hash": "{other}", "q"')
-    elif kind == "escaped-hash":
+    elif kind == "escaped-hash":  # rejected, unless a key spells the hash
         text = _escape_hex(text, h, draw(st.sets(st.integers(0, 63), min_size=1)))
+        if draw(st.booleans()):
+            text = f'{{"{h}": 0, {text[1:]}'
     elif kind == "unicode-description":
         text = json.dumps(dict(rec, description="\u00e9\u27e8"),
                           ensure_ascii=draw(st.booleans()))
@@ -242,16 +246,16 @@ def test_cache_lookup_decodes_only_candidate_lines(tmp_path, monkeypatch):
         cache.put(f"filler {i}", 2, i)
     cache.put("a", 2, 5)
     cache.put("a", 4, 7)
-    cache.put("caf\u00e9", 2, 9)  # ASCII JSON spells it with a backslash
+    cache.put("caf\u00e9", 2, 9)  # its description has a backslash, its hash none
     decoded = []
     real = cache_mod._decode
     monkeypatch.setattr(cache_mod, "_decode", lambda s: decoded.append(s) or real(s))
     fresh = ColengthCache(str(path))
     assert decoded == []
     assert fresh.get("a", 2) == 5
-    assert len(decoded) == 3  # the two records of "a" and the escaped one
+    assert len(decoded) == 2  # the two records of "a"
     assert fresh.get("absent", 2) is None
-    assert len(decoded) == 4
+    assert len(decoded) == 2
 
 
 def test_cache_put_after_get_decodes_nothing(tmp_path, monkeypatch):
@@ -320,32 +324,31 @@ COUNTED = {1: 1001, 2: 1002, 3: 1003}  # the values of the "counted" preset
        st.integers(64, 256), st.data())
 def test_cache_lookup_with_any_index_state_matches_full_parse(
         tmp_path_factory, lines, window, data):
-    """An index written from a line-start prefix of the file, then kept,
-    or the file appended to, truncated below L or rewritten at the same
-    length, or the index garbled or cut.  Gets and puts never raise; while
-    the index covers a prefix of the file, gets equal a full parse, and in
-    every state a get gives the full parse's count or None and
+    """An index that opening a line-start prefix of the file wrote, then
+    kept, or the file appended to, truncated below L or rewritten at the
+    same length, or the index garbled or cut.  Gets and puts never raise;
+    while the index covers a prefix of the file, gets equal a full parse,
+    and in every state a get gives the full parse's count or None and
     cached_counter gives the counter's own value."""
     lines = list(lines)
-    if data.draw(st.booleans()):  # a head without a backslash gets an index
-        lines = [(line, sep) for line, sep in lines if b"\\" not in line]
     for q in data.draw(st.lists(st.sampled_from(sorted(COUNTED)), max_size=6)):
         rec = {"hash": _key("counted"), "q": q, "count": COUNTED[q], "version": ENGINE_VERSION}
         lines.insert(data.draw(st.integers(0, len(lines))), (json.dumps(rec).encode(), b"\n"))
     path = tmp_path_factory.mktemp("cache") / "c.jsonl"
-    path.write_bytes(b"".join(line + sep for line, sep in lines))
+    old = b"".join(line + sep for line, sep in lines)
     index = path.with_name("c.jsonl.idx")
     state = data.draw(st.sampled_from(
         ["keep", "append", "truncate", "rewrite", "garbage", "cut-index"]))
+    starts = [0, *itertools.accumulate(len(line + sep) for line, sep in lines)]
+    if data.draw(st.booleans()):  # mostly an index that a lookup may use
+        starts = [s for s in starts if 64 <= s <= len(old) <= s + 2 * window] or starts
+    size = data.draw(st.sampled_from(starts[::-1]))  # the index's L
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cache_mod, "_WINDOW", 0)  # opening indexes any file but an empty one
+        path.write_bytes(old[:size])
+        ColengthCache(str(path))
+        path.write_bytes(old)
         mp.setattr(cache_mod, "_WINDOW", window)
-        base = ColengthCache(str(path))._base
-        starts = [0, *itertools.accumulate(len(line + sep) for line, sep in lines)]
-        if data.draw(st.booleans()):  # mostly an index that a lookup may use
-            starts = [s for s in starts if 64 <= s <= base <= s + 2 * window] or starts
-        size = data.draw(st.sampled_from(starts[::-1]))  # the index's L
-        ColengthCache(str(path))._write_index(path.read_bytes()[:size].replace(b"\r", b"\n"))
-        old = path.read_bytes()
         if state == "append":
             more = data.draw(st.lists(st.tuples(cache_lines(), SEPARATORS), max_size=10))
             path.write_bytes(old + b"".join(line + sep for line, sep in more))
@@ -378,12 +381,14 @@ def _spy_decode(monkeypatch):
     return decoded
 
 
-def _write_records(path, *records):
-    """Records of "a" and of "filler i" (a count alone stands for a filler)."""
+def _write_records(path, *records, mode="w"):
+    """Records of "a" and of "filler i" (a count alone stands for a filler),
+    written to path, or appended with mode="a"."""
     rec = {"hash": _key("a"), "version": ENGINE_VERSION}
     lines = [dict(rec, hash=_key(f"filler {r}"), q=2, count=r) if type(r) is int
              else dict(rec, q=r[0], count=r[1]) for r in records]
-    path.write_text("".join(json.dumps(x, sort_keys=True) + "\n" for x in lines))
+    with open(path, mode) as fh:
+        fh.write("".join(json.dumps(x, sort_keys=True) + "\n" for x in lines))
 
 
 @pytest.mark.parametrize("fillers", [3, 500])
@@ -469,30 +474,65 @@ def _write_long_file(path, *records):
     return size
 
 
+def _indexed_long_file(path, *records):
+    """_write_long_file, then opened once, which indexes the file up to
+    its end, L: (L, the index)."""
+    length = _write_long_file(path, *records)
+    ColengthCache(str(path))
+    index = path.with_name(path.name + ".idx").read_bytes()
+    assert index.startswith(b"%d " % length)
+    return length, index
+
+
 def test_cache_hit_reads_only_the_tail(tmp_path, monkeypatch):
+    """With a valid index, opening reads the index and [L - 64, EOF), and
+    a hit there reads nothing more."""
     path = tmp_path / "c.jsonl"
-    size = _write_long_file(path, (2, 5), (4, 7))
+    length, index = _indexed_long_file(path)
+    _write_records(path, (2, 5), (4, 7), mode="a")
+    size = path.stat().st_size
     reads = _spy_reads(monkeypatch)
     cache = ColengthCache(str(path))
     assert cache.get("a", 2) == 5 and cache.get("a", 4) == 7
-    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW)]
+    assert reads == [(0, len(index)), (length - 64, size - length + 64)]
+    assert cache._base == length
 
 
 def test_cache_miss_reads_the_head_once(tmp_path, monkeypatch):
+    """A ladder of misses whose prefix the index lists reads [0, L) once."""
     path = tmp_path / "c.jsonl"
-    size = _write_long_file(path, (8, 1))
+    length, index = _indexed_long_file(path, (8, 1))
     reads = _spy_reads(monkeypatch)
     cache = ColengthCache(str(path))
-    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW)]
+    assert reads == [(0, len(index)), (length - 64, 64)]
     assert cache.get("a", 2) is None
-    head = size - len(cache._tail)
-    assert size - 2 * cache_mod._WINDOW < head <= size - cache_mod._WINDOW
-    assert reads[1:] == [(0, head)]
+    assert reads[2:] == [(0, length)]
     assert cache.get("a", 4) is None  # the ladder's second q
     cache.put("a", 2, 5)
     cache.put("a", 4, 7)
-    assert len(reads) == 2
+    assert len(reads) == 3
     assert ColengthCache(str(path)).get("a", 2) == 5
+
+
+def test_cache_miss_without_an_index_writes_one(tmp_path, monkeypatch):
+    """Without a valid index, opening reads the whole file once and
+    indexes it up to its last line end; a miss then reads nothing more."""
+    path = tmp_path / "c.jsonl"
+    length = _write_long_file(path, (8, 1))
+    with open(path, "ab") as fh:
+        fh.write(b'{"count": 1, "hash": "' + _key("a").encode())  # a torn line
+    size = path.stat().st_size
+    reads = _spy_reads(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert reads == [(0, size)]
+    assert cache._base == 0
+    index = (tmp_path / "c.jsonl.idx").read_bytes()
+    assert index.startswith(b"%d %s\n" % (length, path.read_bytes()[length - 64:length].hex().encode()))
+    assert b"\n%s\n" % _key("filler 0")[:8].encode() in index
+    assert b"\n%s\n" % _key("a")[:8].encode() in index  # (a, 8) lies before L
+    assert cache.get("a", 2) is None and cache.get("a", 8) == 1
+    assert len(reads) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.idx"]
 
 
 def _append_fillers(path, count):
@@ -504,39 +544,19 @@ def _append_fillers(path, count):
     return path.stat().st_size
 
 
-def test_cache_miss_without_an_index_writes_one(tmp_path, monkeypatch):
+def test_cache_miss_with_a_valid_index_reads_nothing_more(tmp_path, monkeypatch):
+    """A miss whose prefix the index lacks reads no byte before L - 64."""
     path = tmp_path / "c.jsonl"
-    _write_long_file(path, (8, 1))
-    cache = ColengthCache(str(path))
-    reads = _spy_reads(monkeypatch)
-    assert cache.get("a", 2) is None
-    assert reads == [(0, cache._base)]  # the head, read once
-    index = (tmp_path / "c.jsonl.idx").read_bytes()
-    assert index.startswith(b"%d %s\n" % (cache._base, cache._read_head()[-64:].hex().encode()))
-    assert b"\n%s\n" % _key("filler 0")[:8].encode() in index
-    assert b"\n%s\n" % _key("a")[:8].encode() not in index  # (a, 8) is in the tail
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "c.jsonl.idx"]
-
-
-def test_cache_miss_with_a_valid_index_reads_only_the_gap(tmp_path, monkeypatch):
-    """A fresh miss reads the tail, the index, and the file from 64 bytes
-    before the index's L to the tail: no byte before L - 64."""
-    path = tmp_path / "c.jsonl"
-    _write_long_file(path, (8, 1))
-    first = ColengthCache(str(path))
-    assert first.get("a", 2) is None
-    index = (tmp_path / "c.jsonl.idx").read_bytes()
-    size = _append_fillers(path, 100)  # the tail moves past L
+    length, index = _indexed_long_file(path)
+    _write_records(path, (8, 1), mode="a")
+    size = _append_fillers(path, 100)
     reads = _spy_reads(monkeypatch)
     cache = ColengthCache(str(path))
-    assert cache._base > first._base
     assert cache.get("a", 2) is None and cache.get("a", 4) is None
-    first_in_gap = json.loads(path.read_bytes()[first._base:].split(b"\n")[0])["count"]
-    assert cache.get(f"filler {first_in_gap}", 2) == first_in_gap
-    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW), (0, len(index)),
-                     (first._base - 64, cache._base - first._base + 64)]
+    assert cache.get("a", 8) == 1 and cache.get("filler 7", 3) == 7
+    assert reads == [(0, len(index)), (length - 64, size - length + 64)]
     cache.put("a", 2, 5)
-    assert len(reads) == 3
+    assert len(reads) == 2
     assert (tmp_path / "c.jsonl.idx").read_bytes() == index
     assert ColengthCache(str(path)).get("a", 2) == 5
 
@@ -544,22 +564,41 @@ def test_cache_miss_with_a_valid_index_reads_only_the_gap(tmp_path, monkeypatch)
 def test_cache_miss_whose_prefix_the_index_lists_reads_the_head(tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
     _write_records(path, (2, 5), *range(20 * cache_mod._WINDOW // 90))
-    assert ColengthCache(str(path)).get("a", 4) is None  # writes the index
+    ColengthCache(str(path))  # writes the index
     index = tmp_path / "c.jsonl.idx"
     before = (index.read_bytes(), index.stat().st_ino)
+    size = path.stat().st_size
     reads = _spy_reads(monkeypatch)
     cache = ColengthCache(str(path))
     assert cache.get("a", 4) is None and cache.get("a", 2) == 5
-    assert [at for at, _ in reads].count(0) == 2  # the index, then the head
-    assert reads[-1] == (0, cache._base)
+    assert reads == [(0, len(before[0])), (size - 64, 64), (0, size)]
     assert (index.read_bytes(), index.stat().st_ino) == before
+
+
+def test_cache_indexes_a_head_with_a_non_ascii_description(tmp_path, monkeypatch):
+    """put spells a non-ASCII description with \\u escapes; a head that
+    holds one still gets an index, which keeps a miss out of the head."""
+    path = tmp_path / "c.jsonl"
+    desc = "presentation vars=α,β,γ bin=(1, 1, 0)-(0, 0, 2) dim=2"
+    ColengthCache(str(path)).put(desc, 2, 6)
+    assert b"\\u03b1" in path.read_bytes()
+    _write_records(path, *range(3 * cache_mod._WINDOW // 90), mode="a")
+    size = path.stat().st_size
+    assert size > 2 * cache_mod._WINDOW
+    ColengthCache(str(path))
+    index = (tmp_path / "c.jsonl.idx").read_bytes()
+    reads = _spy_reads(monkeypatch)
+    cache = ColengthCache(str(path))
+    assert cache.get("a", 2) is None
+    assert reads == [(0, len(index)), (size - 64, 64)]
+    assert cache.get(desc, 2) == 6
 
 
 @pytest.mark.parametrize("damage", ["garbage", "short", "shifted", "moved"])
 def test_cache_rewrites_an_invalid_index(tmp_path, damage):
     path = tmp_path / "c.jsonl"
     _write_long_file(path, (8, 1))
-    assert ColengthCache(str(path)).get("a", 2) is None
+    ColengthCache(str(path))
     index = tmp_path / "c.jsonl.idx"
     if damage == "garbage":
         index.write_bytes(b"\x00garbage\n")
@@ -571,33 +610,41 @@ def test_cache_rewrites_an_invalid_index(tmp_path, damage):
         path.write_bytes(path.read_bytes() + old)
     else:  # the file grew by more than 2 windows past L
         _append_fillers(path, 3 * cache_mod._WINDOW // 80)
+    data = path.read_bytes()
     cache = ColengthCache(str(path))
+    assert cache._base == 0
     assert cache.get("a", 2) == (5 if damage == "shifted" else None)
-    assert index.read_bytes().startswith(b"%d " % cache._base)
+    assert index.read_bytes().startswith(b"%d %s\n" % (len(data), data[-64:].hex().encode()))
 
 
 def test_cache_scan_after_a_tail_hit_matches_full_parse(tmp_path, monkeypatch):
     path = tmp_path / "c.jsonl"
-    _write_long_file(path, (2, 6))
+    _write_long_file(path)
     data = path.read_bytes()
     good = {"hash": _key("a"), "q": 4, "count": 7, "version": ENGINE_VERSION}
     old = (json.dumps(good) + "\r\n{torn\r\n").encode()  # rejected, in the head
+    path.write_bytes(old + data)
+    length = path.stat().st_size
+    ColengthCache(str(path))  # indexes the file up to its end, L
     new = b"not json\n" + json.dumps(dict(good, q=3)).encode() + b"\n"
-    path.write_bytes(old + data + new)
+    _write_records(path, (2, 6), mode="a")
+    with open(path, "ab") as fh:
+        fh.write(new)
     size = path.stat().st_size
     entries, rejected = reference_load(path)
+    index = (tmp_path / "c.jsonl.idx").read_bytes()
     reads = _spy_reads(monkeypatch)
     cache = ColengthCache(str(path))
     assert cache.get("a", 2) == 6
-    assert reads == [(size - 2 * cache_mod._WINDOW, 2 * cache_mod._WINDOW)]
+    assert reads == [(0, len(index)), (length - 64, size - length + 64)]
     assert cache.entries() == [
         {"hash": h, "q": q, "count": c, "version": ENGINE_VERSION}
         for (h, q), c in sorted(entries.items())
     ]
     assert cache.rejected == rejected == 2
-    assert len(reads) == 2 and reads[1][0] == 0  # the head, read once
+    assert reads[2:] == [(0, length)]  # the head, read once
     assert cache.get("a", 4) == 7
-    assert len(reads) == 2
+    assert len(reads) == 3
 
 
 def test_cache_open_survives_the_file_removed_before_it_is_read(tmp_path, monkeypatch):
@@ -622,7 +669,9 @@ def test_cache_lookup_survives_the_file_changed_before_the_head_is_read(
     read the tail: a lookup that reaches the head gives a miss or a record
     that one of the two files holds."""
     path = tmp_path / "c.jsonl"
-    _write_records(path, (2, 5), *range(20 * cache_mod._WINDOW // 90), 3)
+    _write_records(path, (2, 5), *range(20 * cache_mod._WINDOW // 90))
+    ColengthCache(str(path))  # indexes the file up to its end, L
+    _write_records(path, 3, mode="a")
     old, _ = reference_load(path)
     cache = ColengthCache(str(path))
     if replacement is None:
@@ -648,7 +697,10 @@ def test_cached_oracle_survives_a_clear_before_the_head_is_read(
     code, plain, _ = run_cli(capsys, *argv)
     assert code == 0
     path = tmp_path / "colengths.jsonl"
-    _write_long_file(path)
+    stale = {"count": 1, "hash": _key("ci-rees m=1 n=1"), "q": 2, "version": "0"}
+    path.write_text(json.dumps(stale) + "\n")
+    _write_records(path, *range(20 * cache_mod._WINDOW // 90), mode="a")
+    ColengthCache(str(path))  # an index that lists the ci-rees prefix
     real = ColengthCache._load
 
     def cleared_after_load(self):  # another process's `cache clear`
@@ -684,6 +736,27 @@ def test_cache_clear_removes_the_index(capsys, tmp_path):
     got = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert got == (0, "cache cleared\n", "")
     assert not any(tmp_path.iterdir())
+
+
+def test_cached_presentation_with_non_ascii_variables(capsys, tmp_path):
+    """The records of a presentation over α β γ spell its description with
+    \\u escapes: cold, warm, and warm from an indexed head, the cached
+    ladder prints the uncached output."""
+    f = tmp_path / "abc.txt"
+    f.write_text("vars: α β γ\nbin: α*β - γ^2\ndim: 2\n", encoding="utf-8")
+    argv = ["oracle", "--preset", "presentation", "--file", str(f), "--q", "2,4", "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cached = [*argv, "--cache-dir", str(tmp_path / "c")]
+    path = tmp_path / "c" / "colengths.jsonl"
+    assert run_cli(capsys, *cached) == (0, plain, "")
+    assert b"\\u03b1" in path.read_bytes()
+    _write_records(path, *range(3 * cache_mod._WINDOW // 90), mode="a")
+    size = path.stat().st_size
+    for _ in range(2):  # the first run indexes the file, the second reads its head
+        assert run_cli(capsys, *cached) == (0, plain, "")
+        assert path.stat().st_size == size
+        assert (tmp_path / "c" / "colengths.jsonl.idx").is_file()
 
 
 def test_put_ends_a_torn_last_line(capsys, tmp_path):

@@ -20,6 +20,7 @@ from hkrees.engine import (
 )
 from hkrees import lattice, toric
 from hkrees.errors import DimensionError, ParameterError
+from hkrees.estimator import normalized_sequence
 from hkrees.lattice import (
     MonomialIdeal2D,
     Semigroup2D,
@@ -1067,3 +1068,23 @@ def test_equality_criterion_on_normal_cyclic_quotients():
 ] + [(semigroup_veronese(c).generators, c) for c in (2, 3, 4)])
 def test_base_multiplicity_pinned(gens, e):
     assert base_multiplicity(Semigroup2D(gens)) == e
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: segre_colength(0, 2, 2), "need c, d, q >= 1, got (0, 2, 2)"),
+    (lambda: veronese_beta(2, 2, 0, 1), "need c, d >= 1 and cq >= c, got (2, 2, 1)"),
+    (lambda: veronese_beta(2, 2, 0, 5), "cq=5 not divisible by c=2"),
+    (lambda: veronese_rees_colength(2, 2, 0), "need c, d, q >= 1, got (2, 2, 0)"),
+    (lambda: semigroup_veronese(0), "c must be >= 1, got 0"),
+    (lambda: cf.lemma38_limit(0, 2), "lemma38_limit requires c, d >= 1, got (0, 2)"),
+    (lambda: cf.veronese_I_limits(cf.VeroneseParams(2, 1), 0, 0),
+     "I_k(a) requires d >= 2, got d=1"),
+    (lambda: cf.veronese_I_limits(cf.VeroneseParams(2, 2), -1, 0), "a must be >= 0, got -1"),
+    (lambda: toric.normal_in_q(None, None, 2, 0), "q must be >= 1, got 0"),
+    (lambda: normalized_sequence([], 0), "dimension must be >= 1, got 0"),
+], ids=["segre-c", "beta-cq", "beta-divisible", "veronese-rees-q", "semigroup-veronese",
+        "lemma38", "I-d", "I-a", "normal-in-q", "normalized-dimension"])
+def test_out_of_range_parameters_raise_parameter_error(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert str(err.value) == message
