@@ -19,7 +19,7 @@ from . import lattice, presets, toric
 # No suite calls estimate; it stays importable as checks.estimate, a name
 # the bench harness wraps.
 from .estimator import estimate  # noqa: F401
-from .exact import factorial, format_fraction
+from .exact import factorial, format_fraction, format_ratio
 
 
 class CheckResult(NamedTuple):
@@ -74,8 +74,9 @@ def suite_theorem2() -> list[CheckResult]:
     bound_const = cf.c_of_d(2)
     for c in range(1, 11):
         val = cf.veronese_rees_ehk_general(cf.VeroneseParams(c, 2))
-        bound = bound_const * c
-        ok = val <= bound and ((val == bound) == (c == 1))
+        bound = Fraction(bound_const.numerator * c, bound_const.denominator)
+        lhs, rhs = val.numerator * bound.denominator, bound.numerator * val.denominator
+        ok = lhs <= rhs and (lhs == rhs) == (c == 1)
         out.append(_cmp(
             f"theorem2/veronese-c{c}",
             ok, val, bound,
@@ -99,23 +100,27 @@ def suite_cor54() -> list[CheckResult]:
     C(c - lo, j) is negative.  If Delta^0 f(lo) > 0 and no Delta^j f(lo)
     is negative, then f(c) > 0, that is value < c^(d-1), for every
     c >= lo.  The limit is the leading coefficient of c value, read from
-    the same nodes c = lo, ..., lo + d by `toric.leading_coefficient`.
+    the same differences.  They are taken of the integer (d+1)! f(c), and
+    each reported value is one Fraction over (d+1)!.
     """
     out = []
     for d in (3, 4):
-        lo = d * (d - 1) // 2
+        lo, den = d * (d - 1) // 2, factorial(d + 1)
 
-        def scaled(c):
-            return c * cf.veronese_rees_ehk(cf.VeroneseParams(c, d))
-        diffs = toric.forward_differences(lambda c: c**d - scaled(c), d, 1, lo)
+        def scaled_f(c):  # (d+1)! f(c), an integer
+            v = cf.veronese_rees_ehk(cf.VeroneseParams(c, d))
+            return den * c**d - den * c * v.numerator // v.denominator
+        diffs = toric.forward_differences(scaled_f, d, 1, lo)
         out.append(_cmp(
             f"cor54/strict-d{d}", diffs[0] > 0 and min(diffs) >= 0,
-            ", ".join(map(format_fraction, diffs)), 0,
+            ", ".join(format_ratio(x, den) for x in diffs), 0,
             f"Newton coefficients of c^{d} - c*value at c = {lo}: the first "
             f"> 0 and none < 0, so value < c^{d - 1} for every c >= {lo}",
         ))
-        ratio = toric.leading_coefficient(scaled, d, 1, lo)
-        limit = Fraction(2 ** (d + 1) - 2, factorial(d + 1))
+        # Delta^d of (d+1)! c^d is (d+1)! d!, so the leading coefficient of
+        # c value is 1 - Delta^d f(lo) / d!.
+        ratio = Fraction(den * factorial(d) - diffs[-1], den * factorial(d))
+        limit = Fraction(2 ** (d + 1) - 2, den)
         out.append(_cmp(
             f"cor54/ratio-d{d}", ratio == limit, ratio, limit,
             f"limit of value / c^{d - 1}, the leading coefficient of "
@@ -187,7 +192,8 @@ def suite_lemma13() -> list[CheckResult]:
     out = []
 
     def band(check_id, e, d, value, note):
-        ok = Fraction(e, factorial(d)) <= value <= e
+        # e/d! <= n/m <= e for value = n/m, cross-multiplied
+        ok = value.numerator <= e * value.denominator <= value.numerator * factorial(d)
         out.append(_cmp(check_id, ok, value, e, note))
 
     for n in range(1, 11):

@@ -3,8 +3,11 @@ of the supported ring families: binomial hypersurfaces, Segre products,
 Veronese subrings and their Rees algebras, and Rees algebras of
 two-variable complete-intersection monomial ideals.
 
+Each value is a sum of integer numerators over one explicit common
+denominator, with one Fraction built at the end (see `hkrees.exact`).
 Routes that only check these values (alpha_q by inclusion-exclusion, the
-density whose moments are the I_k limits) are in tests/reference_routes.py.
+density whose moments are the I_k limits, and each formula as a chain of
+Fraction operations) are in tests/reference_routes.py.
 """
 
 from __future__ import annotations
@@ -64,20 +67,23 @@ def _elementary_symmetric(values: list[int]) -> list[int]:
 
 def conca_ehk(ds: list[int], es: list[int]) -> Fraction:
     """e_HK of the binomial hypersurface cut out by
-    x_1^{d_1}...x_s^{d_s} - y_1^{e_1}...y_t^{e_t}."""
+    x_1^{d_1}...x_s^{d_s} - y_1^{e_1}...y_t^{e_t}: the sum over j <= s,
+    l <= t of (-1)^(j+l) e_j(d) e_l(e) j l / (k u^k) with k = j+l-1 and u
+    the largest exponent.  Every k is at most r = s+t-1, so
+    lcm(1..r) u^r is a common denominator of the terms."""
     if not ds or not es or min(ds) < 1 or min(es) < 1:
         raise ParameterError("exponent lists must be nonempty with entries >= 1")
     u = max(max(ds), max(es))
     sj = _elementary_symmetric(ds)
     tl = _elementary_symmetric(es)
-    total = Fraction(0)
+    r = len(ds) + len(es) - 1
+    den = math.lcm(*range(1, r + 1)) * u**r
+    total = 0
     for j in range(1, len(ds) + 1):
         for l in range(1, len(es) + 1):
-            total += Fraction(
-                (-1) ** (j + l) * sj[j] * tl[l] * j * l,
-                (j + l - 1) * u ** (j + l - 1),
-            )
-    return total
+            total += ((-1) ** (j + l) * sj[j] * tl[l] * j * l
+                      * (den // ((j + l - 1) * u ** (j + l - 1))))
+    return Fraction(total, den)
 
 
 def an_extrees_ehk(n: int) -> Fraction:
@@ -85,15 +91,27 @@ def an_extrees_ehk(n: int) -> Fraction:
     the maximal ideal of the n-th binomial hypersurface, n >= 2."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    return 2 - Fraction(2 * (n + 1), 3 * n * n)
+    return Fraction(6 * n * n - 2 * (n + 1), 3 * n * n)  # 2 - 2(n+1)/(3n^2)
 
 
 def segre_ehk(p: SegreParams) -> Fraction:
-    """e_HK of the Segre product of polynomial rings in c and d variables,
-    assembled from the mixed colength limits: the two one-sided bounded
-    sums minus the two-sided one."""
+    """e_HK of the Segre product of polynomial rings in c <= d variables,
+    assembled from the mixed colength limits over m = c+d-1: the two
+    one-sided bounded sums, d! S(m, d)/m! and c! S(m, c)/m! (lemma 3.8),
+    minus the two-sided one, c! S(m, c)/m! + corr/m! (lemma 3.9).  So the
+    value is (d! S(m, d) - corr)/m!."""
     c, d = min(p.c, p.d), max(p.c, p.d)  # the product is symmetric
-    return lemma38_limit(d, c) + lemma38_limit(c, d) - lemma39_limit(c, d)
+    m = c + d - 1
+    return Fraction(factorial(d) * stirling2(m, d) - _lemma39_correction(c, d),
+                    factorial(m))
+
+
+def _lemma39_correction(c: int, d: int) -> int:
+    """corr, the sum over 1 <= j < i <= c of
+    C(c, i) C(d, j) (-1)^(c-i+j) (i-j)^(c+d-1)."""
+    m = c + d - 1
+    return sum(binomial(c, i) * binomial(d, j) * (-1) ** (c - i + j) * (i - j) ** m
+               for i in range(2, c + 1) for j in range(1, i))
 
 
 def c_of_d(d: int) -> Fraction:
@@ -101,7 +119,8 @@ def c_of_d(d: int) -> Fraction:
     algebra of the maximal ideal over a d-variable polynomial ring."""
     if d < 1:
         raise ParameterError(f"c_of_d requires d >= 1, got {d}")
-    return d * (Fraction(1, 2) + Fraction(1, factorial(d + 1)))
+    f = factorial(d + 1)
+    return Fraction(d * (f + 2), 2 * f)
 
 
 def _poly_shift_power(shift: int, exp: int) -> list[int]:
@@ -162,27 +181,6 @@ def bcp_segre_ehk(p: SegreParams) -> Fraction:
     )
 
 
-def lemma38_limit(c: int, d: int) -> Fraction:
-    """Limit of the mixed colength sums sum_n alpha_{c,n,q} alpha_{d,n} / q^{c+d-1}:
-    c! S(c+d-1, c) / (c+d-1)!."""
-    if c < 1 or d < 1:
-        raise ParameterError(f"lemma38_limit requires c, d >= 1, got ({c}, {d})")
-    m = c + d - 1
-    return Fraction(factorial(c) * stirling2(m, c), factorial(m))
-
-
-def lemma39_limit(c: int, d: int) -> Fraction:
-    """Limit of sum_n alpha_{c,n,q} alpha_{d,n,q} / q^{c+d-1} for c <= d."""
-    if c < 1 or d < c:
-        raise ParameterError(f"lemma39_limit requires 1 <= c <= d, got ({c}, {d})")
-    m = c + d - 1
-    corr = 0
-    for i in range(2, c + 1):
-        for j in range(1, i):
-            corr += binomial(c, i) * binomial(d, j) * (-1) ** (c - i + j) * (i - j) ** m
-    return lemma38_limit(c, d) + Fraction(corr, factorial(m))
-
-
 def veronese_rees_ehk(p: VeroneseParams) -> Fraction:
     """e_HK of the Rees algebra of the maximal ideal over the degree-c
     Veronese of a d-variable polynomial ring, valid for c >= d >= 2."""
@@ -193,13 +191,20 @@ def veronese_rees_ehk(p: VeroneseParams) -> Fraction:
             "use veronese_rees_ehk_general (CLI: veronese-rees-general) instead"
         )
     prod = math.prod(c + i for i in range(1, d))
-    return Fraction(2 ** (d + 1) * c ** (d - 1), factorial(d + 1)) - Fraction(
-        (2 * c - d * (d - 1)) * prod, c * factorial(d + 1)
-    )
+    # 2^(d+1) c^(d-1)/(d+1)! - (2c - d(d-1)) prod/(c (d+1)!)
+    return Fraction(2 ** (d + 1) * c**d - (2 * c - d * (d - 1)) * prod,
+                    c * factorial(d + 1))
 
 
 def _I_numerator(c: int, d: int, a: int, k: int) -> int:
-    """The integer numerator of I_k(a), the double sum in veronese_I_limits.
+    """The integer numerator of the moment limit I_k(a), k in {0, 1}, of
+    the normalized graded dimension counts of the Veronese ring modulo
+    bracket powers: the double sum
+
+        sum over l <= min(c-1, a) of alpha(d, l) times the inner sum over
+        i <= min(d, a-l) of (-1)^i C(d, i) (a-l-i)^d, times (ad+l+i) if k = 1,
+
+    whose denominator is c d! for k = 0 and c^2 (d+1)! for k = 1.
 
     When x = a-l >= d the inner sum runs over all i <= d, so it is a d-th
     backward difference: of x^d, which is d!, for k = 0; and, writing
@@ -231,27 +236,6 @@ def _I_numerator(c: int, d: int, a: int, k: int) -> int:
             for i in range(x + 1)
         )
     return total
-
-
-def veronese_I_limits(p: VeroneseParams, a: int, k: int) -> Fraction:
-    """The moment limits I_k(a) of the normalized graded dimension counts of
-    the Veronese ring modulo bracket powers, k in {0, 1}:
-
-        sum over l <= min(c-1, a) of alpha(d, l) times the inner sum over
-        i <= min(d, a-l) of (-1)^i C(d, i) (a-l-i)^d, times (ad+l+i) if k = 1,
-
-    over c d! (k = 0) or c^2 (d+1)! (k = 1).  The numerator is an integer,
-    evaluated in closed form by _I_numerator.
-    """
-    c, d = p.c, p.d
-    if d < 2:
-        raise ParameterError(f"I_k(a) requires d >= 2, got d={d}")
-    if k not in (0, 1):
-        raise ParameterError(f"only k in {{0, 1}} supported, got k={k}")
-    if a < 0:
-        raise ParameterError(f"a must be >= 0, got {a}")
-    den = c * factorial(d) if k == 0 else c * c * factorial(d + 1)
-    return Fraction(_I_numerator(c, d, a, k), den)
 
 
 def veronese_rees_ehk_general(p: VeroneseParams) -> Fraction:
@@ -297,7 +281,9 @@ def ci_rees_values(m: int, n: int) -> CiReesValues:
         m, n = n, m
     return CiReesValues(
         e_rees=Fraction(n + 1),
-        ehk_rees=n + 1 - Fraction(n, m) + Fraction(n, 3 * m * m),
+        # n + 1 - n/m + n/(3m^2)
+        ehk_rees=Fraction(3 * m * (m * (n + 1) - n) + n, 3 * m * m),
         e_extrees=Fraction(n + 2 if n >= 2 else 2),
-        ehk_extrees=n + 2 - Fraction(n, m) - Fraction(1, n),
+        # n + 2 - n/m - 1/n
+        ehk_extrees=Fraction((n + 2) * m * n - n * n - m, m * n),
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .exact import format_fraction
+from .exact import format_fraction, format_ratio
 
 
 class ColengthSample(namedtuple("ColengthSample", "q count")):
@@ -37,17 +37,14 @@ class HKEstimate(NamedTuple):
     def contains(self, value: Fraction) -> bool:
         return self.bracket[0] <= value <= self.bracket[1]
 
-    def width(self) -> Fraction:
-        return self.bracket[1] - self.bracket[0]
-
     def to_dict(self) -> dict:
         """Serializable record with exact fraction strings; the float field
         is a labeled convenience only."""
         return {
             "samples": [[s.q, s.count] for s in self.samples],
             "dimension": self.dimension,
-            "normalized": [format_fraction(v) for v in
-                           normalized_sequence(self.samples, self.dimension)],
+            "normalized": [format_ratio(s.count, s.q**self.dimension)
+                           for s in self.samples],
             "leading": format_fraction(self.leading),
             "bracket": [format_fraction(b) for b in self.bracket],
             "leading_approx": float(self.leading),
@@ -65,8 +62,9 @@ def estimate(samples, dimension: int) -> HKEstimate:
     """Two-point fits l = A*q^d + B*q^(d-1) on consecutive sample pairs.
 
     The point estimate is the A from the last pair; the bracket spans the
-    last three A-estimates (or all of them, if fewer).  On synthetic data
-    of exactly that shape any single pair already recovers A.
+    last three A-estimates (or all of them, if fewer), so only those fits
+    are made.  On synthetic data of exactly that shape any single pair
+    already recovers A.
     """
     samples = sorted(samples, key=lambda s: s.q)
     if len(samples) < 2:
@@ -75,18 +73,15 @@ def estimate(samples, dimension: int) -> HKEstimate:
         raise ParameterError(f"dimension must be >= 1, got {dimension}")
     if any(s1.q == s2.q for s1, s2 in zip(samples, samples[1:])):
         raise ParameterError("sample q values must be distinct")
-    fits = []
-    for s1, s2 in zip(samples, samples[1:]):
-        # eliminate B from the pair of equations l_i = A q_i^d + B q_i^(d-1)
-        a = (
-            Fraction(s2.count, s2.q ** (dimension - 1))
-            - Fraction(s1.count, s1.q ** (dimension - 1))
-        ) / (s2.q - s1.q)
-        fits.append(a)
-    tail = fits[-3:]
+    # Eliminating B from l_i = A q_i^d + B q_i^(d-1) with p_i = q_i^(d-1)
+    # gives A = (l_2 p_1 - l_1 p_2) / (p_1 p_2 (q_2 - q_1)).
+    last = samples[-4:]
+    p = [s.q ** (dimension - 1) for s in last]
+    tail = [Fraction(s2.count * p1 - s1.count * p2, p1 * p2 * (s2.q - s1.q))
+            for s1, s2, p1, p2 in zip(last, last[1:], p, p[1:])]
     return HKEstimate(
         samples=tuple(samples),
         dimension=dimension,
-        leading=fits[-1],
+        leading=tail[-1],
         bracket=(min(tail), max(tail)),
     )

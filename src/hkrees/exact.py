@@ -4,6 +4,14 @@ All multiplicity values produced by this package are `fractions.Fraction`
 instances (auto-normalized: positive denominator, gcd(num, den) = 1).
 No floating point is used anywhere in the computational core.
 
+Each value is built once.  A formula sums integer numerators over one
+explicit common denominator and makes one Fraction per reported value; a
+comparison that reports nothing cross-multiplies numerators and
+denominators; a string that is all a caller needs is written by
+`format_ratio` from one gcd.  Each Fraction operation pays a gcd, an
+allocation and type dispatch, so a chain of them costs far more than the
+integer arithmetic it stands for.
+
 Stirling numbers come from one cached row per n, built by the recurrence;
 the alternating-sum route that checks them is in tests/reference_routes.py.
 `parse_int` is the one rule for integers read from input.
@@ -13,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -59,8 +66,10 @@ def parse_int(text: str) -> int:
     Every integer read from a file or the command line goes through this
     rule; `int` alone would also take underscores, spaces, a plus sign and
     non-ASCII digits, so `1_0` or a full-width digit would pass silently.
+    `isdigit` alone would take a superscript or an Arabic-Indic digit.
     """
-    if not re.fullmatch(r"-?[0-9]+", text):
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise ParameterError(f"bad integer {text!r}")
     return int(text)
 
@@ -72,3 +81,10 @@ def format_fraction(x: Fraction | int) -> str:
     if type(x) is int:
         return str(x)
     return str(x if isinstance(x, Fraction) else Fraction(x))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_fraction(Fraction(num, den)) for den > 0, from one gcd and
+    no Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"

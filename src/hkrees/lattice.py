@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import toric
@@ -394,11 +393,10 @@ def ci_rees_colength(m: int, n: int, q: int) -> int:
 
 def equality_criterion(s: Semigroup2D) -> bool:
     """True iff a_i/a + b_i/b = 1 for every generator (the homogeneity
-    condition under which the base and extended-Rees multiplicities agree)."""
+    condition under which the base and extended-Rees multiplicities agree),
+    tested as a_i b + b_i a = a b."""
     a, b = s.a, s.b
-    return all(
-        Fraction(ai, a) + Fraction(bi, b) == 1 for ai, bi in s.generators
-    )
+    return all(ai * b + bi * a == a * b for ai, bi in s.generators)
 
 
 def _box(s: Semigroup2D, q: int) -> tuple[int, int]:

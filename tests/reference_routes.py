@@ -14,7 +14,7 @@ package computes another way, so the two routes check each other:
   as a sum of min(q, Delta_m(a), Delta_n(b)) over the points (a, b),
   against the engine;
 - `fc_density`: the piecewise-polynomial density whose moments are the
-  limits `hkrees.closed_forms.veronese_I_limits` evaluates as finite sums;
+  limits `veronese_I_limits` evaluates as finite sums;
 - `buchberger_by_scan` and `reduce_by_scan`: the Buchberger engine with
   its own divisibility test and monomial order keys, re-normalizing the
   element after every step, against `hkrees.engine`, which rewrites one
@@ -28,7 +28,15 @@ package computes another way, so the two routes check each other:
   engine's reduced basis, against the minimum hitting set search of
   `hkrees.engine.krull_dimension` on the leads of an unreduced basis;
 - `build_parser`: the argparse parser the CLI used before it parsed argv
-  from its own command tables, against `hkrees.cli.parse_args`.
+  from its own command tables, against `hkrees.cli.parse_args`;
+- `parse_int_by_regex`: the regular expression `hkrees.exact.parse_int`
+  used before it tested `isascii` and `isdigit`;
+- the `*_by_fractions` routes, `lemma38_limit`, `lemma39_limit` and
+  `veronese_I_limits`: the closed forms, the two-point fit and the
+  equality criterion as chains of `Fraction` operations, one per term,
+  against the package, which sums integer numerators over one explicit
+  denominator and builds one `Fraction` per reported value;
+- `width`: the width of an estimate's bracket.
 """
 
 from __future__ import annotations
@@ -39,14 +47,20 @@ import heapq
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 from hkrees import checks, presets
 from hkrees.cli import FORMULAS, cmd_cache, cmd_check, cmd_formula, cmd_oracle
-from hkrees.closed_forms import VeroneseParams, alpha
+from hkrees.closed_forms import (
+    VeroneseParams,
+    _elementary_symmetric,
+    _I_numerator,
+    alpha,
+)
 from hkrees.engine import _add, _check_closure, _lcm, _sub
 from hkrees.errors import DimensionError, ParameterError
-from hkrees.exact import binomial, factorial, parse_int
+from hkrees.exact import binomial, factorial, parse_int, stirling2
 
 
 def stirling2_by_sum(n: int, k: int) -> int:
@@ -350,3 +364,126 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_cache)
 
     return parser
+
+
+def parse_int_by_regex(text: str) -> int:
+    """The integer written as ASCII digits with an optional leading minus,
+    by a regular expression."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ParameterError(f"bad integer {text!r}")
+    return int(text)
+
+
+def conca_ehk_by_fractions(ds: list[int], es: list[int]) -> Fraction:
+    """e_HK of the binomial hypersurface x^ds - y^es, one Fraction per term
+    of the sum over j <= s, l <= t of (-1)^(j+l) e_j(ds) e_l(es) j l /
+    ((j+l-1) u^(j+l-1)), u the largest exponent."""
+    u = max(max(ds), max(es))
+    sj, tl = _elementary_symmetric(ds), _elementary_symmetric(es)
+    total = Fraction(0)
+    for j in range(1, len(ds) + 1):
+        for l in range(1, len(es) + 1):
+            total += Fraction(
+                (-1) ** (j + l) * sj[j] * tl[l] * j * l,
+                (j + l - 1) * u ** (j + l - 1),
+            )
+    return total
+
+
+def an_extrees_ehk_by_fractions(n: int) -> Fraction:
+    """2 - 2(n+1)/(3n^2)."""
+    return 2 - Fraction(2 * (n + 1), 3 * n * n)
+
+
+def lemma38_limit(c: int, d: int) -> Fraction:
+    """Limit of the mixed colength sums sum_n alpha_{c,n,q} alpha_{d,n} / q^{c+d-1}:
+    c! S(c+d-1, c) / (c+d-1)!."""
+    if c < 1 or d < 1:
+        raise ParameterError(f"lemma38_limit requires c, d >= 1, got ({c}, {d})")
+    m = c + d - 1
+    return Fraction(factorial(c) * stirling2(m, c), factorial(m))
+
+
+def lemma39_limit(c: int, d: int) -> Fraction:
+    """Limit of sum_n alpha_{c,n,q} alpha_{d,n,q} / q^{c+d-1} for c <= d."""
+    if c < 1 or d < c:
+        raise ParameterError(f"lemma39_limit requires 1 <= c <= d, got ({c}, {d})")
+    m = c + d - 1
+    corr = 0
+    for i in range(2, c + 1):
+        for j in range(1, i):
+            corr += binomial(c, i) * binomial(d, j) * (-1) ** (c - i + j) * (i - j) ** m
+    return lemma38_limit(c, d) + Fraction(corr, factorial(m))
+
+
+def segre_ehk_by_fractions(c: int, d: int) -> Fraction:
+    """The Segre value as the two one-sided bounded limits minus the
+    two-sided one."""
+    c, d = min(c, d), max(c, d)
+    return lemma38_limit(d, c) + lemma38_limit(c, d) - lemma39_limit(c, d)
+
+
+def c_of_d_by_fractions(d: int) -> Fraction:
+    """d (1/2 + 1/(d+1)!)."""
+    return d * (Fraction(1, 2) + Fraction(1, factorial(d + 1)))
+
+
+def veronese_rees_ehk_by_fractions(c: int, d: int) -> Fraction:
+    """2^(d+1) c^(d-1)/(d+1)! - (2c - d(d-1)) prod_{0<i<d} (c+i) / (c (d+1)!)."""
+    prod = math.prod(c + i for i in range(1, d))
+    return Fraction(2 ** (d + 1) * c ** (d - 1), factorial(d + 1)) - Fraction(
+        (2 * c - d * (d - 1)) * prod, c * factorial(d + 1)
+    )
+
+
+def ci_rees_values_by_fractions(m: int, n: int) -> tuple[Fraction, ...]:
+    """(e_rees, ehk_rees, e_extrees, ehk_extrees) of (x^m, y^n), m >= n."""
+    m, n = max(m, n), min(m, n)
+    return (
+        Fraction(n + 1),
+        n + 1 - Fraction(n, m) + Fraction(n, 3 * m * m),
+        Fraction(n + 2 if n >= 2 else 2),
+        n + 2 - Fraction(n, m) - Fraction(1, n),
+    )
+
+
+def veronese_I_limits(p: VeroneseParams, a: int, k: int) -> Fraction:
+    """The moment limits I_k(a) of the normalized graded dimension counts of
+    the Veronese ring modulo bracket powers, k in {0, 1}:
+
+        sum over l <= min(c-1, a) of alpha(d, l) times the inner sum over
+        i <= min(d, a-l) of (-1)^i C(d, i) (a-l-i)^d, times (ad+l+i) if k = 1,
+
+    over c d! (k = 0) or c^2 (d+1)! (k = 1).  The numerator is an integer,
+    evaluated in closed form by `hkrees.closed_forms._I_numerator`.
+    """
+    c, d = p.c, p.d
+    if d < 2:
+        raise ParameterError(f"I_k(a) requires d >= 2, got d={d}")
+    if k not in (0, 1):
+        raise ParameterError(f"only k in {{0, 1}} supported, got k={k}")
+    if a < 0:
+        raise ParameterError(f"a must be >= 0, got {a}")
+    den = c * factorial(d) if k == 0 else c * c * factorial(d + 1)
+    return Fraction(_I_numerator(c, d, a, k), den)
+
+
+def two_point_fits_by_fractions(samples, dimension: int) -> list[Fraction]:
+    """The A of l = A q^d + B q^(d-1) through each consecutive pair of
+    samples sorted by q: (l_2/q_2^(d-1) - l_1/q_1^(d-1)) / (q_2 - q_1)."""
+    samples = sorted(samples, key=lambda s: s.q)
+    return [
+        (Fraction(s2.count, s2.q ** (dimension - 1))
+         - Fraction(s1.count, s1.q ** (dimension - 1))) / (s2.q - s1.q)
+        for s1, s2 in zip(samples, samples[1:])
+    ]
+
+
+def width(est) -> Fraction:
+    """The width of an estimate's bracket."""
+    return est.bracket[1] - est.bracket[0]
+
+
+def equality_criterion_by_fractions(s) -> bool:
+    """a_i/a + b_i/b = 1 for every generator (a_i, b_i) of s."""
+    return all(Fraction(ai, s.a) + Fraction(bi, s.b) == 1 for ai, bi in s.generators)

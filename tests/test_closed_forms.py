@@ -11,7 +11,19 @@ from hkrees import closed_forms as cf
 from hkrees.errors import ParameterError
 from hkrees.exact import binomial, factorial
 
-from reference_routes import alpha_q, fc_density
+from reference_routes import (
+    alpha_q,
+    an_extrees_ehk_by_fractions,
+    c_of_d_by_fractions,
+    ci_rees_values_by_fractions,
+    conca_ehk_by_fractions,
+    fc_density,
+    lemma38_limit,
+    lemma39_limit,
+    segre_ehk_by_fractions,
+    veronese_I_limits,
+    veronese_rees_ehk_by_fractions,
+)
 
 SP = cf.SegreParams
 VP = cf.VeroneseParams
@@ -142,9 +154,9 @@ def test_bcp_formula_matches_stirling_formula():
 
 
 def test_lemma38_limit():
-    assert cf.lemma38_limit(2, 2) == 1
+    assert lemma38_limit(2, 2) == 1
     for d in range(1, 6):
-        assert cf.lemma38_limit(1, d) == Fraction(1, factorial(d))
+        assert lemma38_limit(1, d) == Fraction(1, factorial(d))
     # finite-q partial sums of sum_n alpha_q(c,n,q) * alpha(d,n) / q^(c+d-1)
     for c in range(1, 4):
         for d in range(1, 4):
@@ -154,26 +166,26 @@ def test_lemma38_limit():
                 for n in range(c * q)
             )
             ratio = Fraction(partial, q ** (c + d - 1))
-            limit = cf.lemma38_limit(c, d)
+            limit = lemma38_limit(c, d)
             assert abs(ratio - limit) <= limit * Fraction(2, 100), (c, d)
 
 
 def test_lemma39_limit_and_assembly():
-    assert cf.lemma39_limit(1, 1) == 1
+    assert lemma39_limit(1, 1) == 1
     with pytest.raises(ParameterError):
-        cf.lemma39_limit(3, 2)
+        lemma39_limit(3, 2)
     for c in range(1, 7):
         for d in range(c, 7):
             assembled = (
-                cf.lemma38_limit(d, c)
-                + cf.lemma38_limit(c, d)
-                - cf.lemma39_limit(c, d)
+                lemma38_limit(d, c)
+                + lemma38_limit(c, d)
+                - lemma39_limit(c, d)
             )
             assert assembled == cf.segre_ehk(SP(c, d)), (c, d)
     assert (
-        cf.lemma38_limit(3, 2)
-        + cf.lemma38_limit(2, 3)
-        - cf.lemma39_limit(2, 3)
+        lemma38_limit(3, 2)
+        + lemma38_limit(2, 3)
+        - lemma39_limit(2, 3)
         == Fraction(13, 8)
     )
 
@@ -202,12 +214,12 @@ def test_veronese_rees_general_overlap():
 
 
 def test_veronese_I_limits_special_values():
-    assert cf.veronese_I_limits(VP(2, 2), 4, 0) == Fraction(3, 2)
+    assert veronese_I_limits(VP(2, 2), 4, 0) == Fraction(3, 2)
     for c in range(2, 6):
         for d in range(2, min(c, 5) + 1):
             p = VP(c, d)
             a = max(2 * c, c + d)
-            assert cf.veronese_I_limits(p, a, 0) == Fraction(
+            assert veronese_I_limits(p, a, 0) == Fraction(
                 cf.alpha(d + 1, c - 1), c
             )
             expected_i1 = Fraction(
@@ -215,11 +227,11 @@ def test_veronese_I_limits_special_values():
                 - 2 * cf.alpha(d + 2, c - 1),
                 2 * c * c,
             )
-            assert cf.veronese_I_limits(p, a, 1) == expected_i1
-    assert cf.veronese_I_limits(VP(3, 3), 0, 0) == 0
-    assert cf.veronese_I_limits(VP(3, 3), 0, 1) == 0
+            assert veronese_I_limits(p, a, 1) == expected_i1
+    assert veronese_I_limits(VP(3, 3), 0, 0) == 0
+    assert veronese_I_limits(VP(3, 3), 0, 1) == 0
     with pytest.raises(ParameterError):
-        cf.veronese_I_limits(VP(2, 2), 2, 2)
+        veronese_I_limits(VP(2, 2), 2, 2)
 
 
 def defining_I_limits(p, a, k):
@@ -245,7 +257,7 @@ def test_veronese_I_limits_match_defining_sum(c, d, data):
     a = data.draw(st.integers(0, 2 * c + d))
     k = data.draw(st.sampled_from((0, 1)))
     p = VP(c, d)
-    assert cf.veronese_I_limits(p, a, k) == defining_I_limits(p, a, k)
+    assert veronese_I_limits(p, a, k) == defining_I_limits(p, a, k)
 
 
 def test_veronese_I_limits_edge_cases():
@@ -267,7 +279,7 @@ def test_veronese_I_limits_edge_cases():
     for (c, d, a), values in pinned.items():
         p = VP(c, d)
         for k, value in enumerate(values):
-            assert cf.veronese_I_limits(p, a, k) == value, (c, d, a, k)
+            assert veronese_I_limits(p, a, k) == value, (c, d, a, k)
             assert defining_I_limits(p, a, k) == value, (c, d, a, k)
 
 
@@ -361,7 +373,7 @@ def test_fc_density_moments_match_I_limits():
         p = VP(c, d)
         for a in range(c + d + 1):
             for k in (0, 1):
-                assert integrate_density(p, a, k) == cf.veronese_I_limits(
+                assert integrate_density(p, a, k) == veronese_I_limits(
                     p, a, k
                 ), (c, d, a, k)
 
@@ -388,6 +400,70 @@ def test_ci_rees_values():
             )
     with pytest.raises(ParameterError):
         cf.ci_rees_values(0, 1)
+
+
+def assert_same_fraction(new, old):
+    """new is a Fraction with old's numerator and denominator."""
+    assert type(new) is Fraction
+    assert (new.numerator, new.denominator) == (old.numerator, old.denominator)
+
+
+exponents = st.one_of(st.integers(1, 12), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(exponents, min_size=1, max_size=5),
+       st.lists(exponents, min_size=1, max_size=5))
+@example([1, 1], [1])
+@example([10**6, 999_999, 1], [1, 10**6])
+def test_conca_ehk_matches_fraction_chain(ds, es):
+    """One Fraction over lcm(1..s+t-1) u^(s+t-1) is the sum of the terms."""
+    assert_same_fraction(cf.conca_ehk(ds, es), conca_ehk_by_fractions(ds, es))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents, exponents)
+@example(1, 1)
+@example(10**6, 1)
+def test_ci_rees_values_match_fraction_chain(m, n):
+    for new, old in zip(cf.ci_rees_values(m, n), ci_rees_values_by_fractions(m, n)):
+        assert_same_fraction(new, old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**6))
+@example(2)
+def test_an_extrees_ehk_matches_fraction_chain(n):
+    assert_same_fraction(cf.an_extrees_ehk(n), an_extrees_ehk_by_fractions(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40))
+@example(1, 1)
+@example(40, 40)
+@example(40, 1)
+def test_segre_ehk_matches_lemma_limits(c, d):
+    """(d! S(m, d) - corr)/m! is lemma 3.8's two limits minus lemma 3.9's."""
+    assert_same_fraction(cf.segre_ehk(SP(c, d)), segre_ehk_by_fractions(c, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40))
+@example(1)
+@example(40)
+def test_c_of_d_matches_fraction_chain(d):
+    assert_same_fraction(cf.c_of_d(d), c_of_d_by_fractions(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.one_of(st.integers(2, 40), st.integers(2, 10**6)))
+@example(2, 2)
+@example(40, 40)
+@example(40, 10**6)
+def test_veronese_rees_ehk_matches_fraction_chain(a, b):
+    c, d = max(a, b), min(a, b)
+    assert_same_fraction(cf.veronese_rees_ehk(VP(c, d)),
+                         veronese_rees_ehk_by_fractions(c, d))
 
 
 def test_param_validation():

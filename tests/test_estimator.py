@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hkrees.errors import ParameterError
 from hkrees.estimator import ColengthSample, estimate, normalized_sequence
+from hkrees.exact import format_fraction
+
+from reference_routes import two_point_fits_by_fractions, width
 
 
 def synthetic(a, b, d, qs):
@@ -17,7 +23,7 @@ def test_exact_recovery_on_synthetic_inputs():
         est = estimate(synthetic(a, b, d, [2, 4, 8, 16]), d)
         assert est.leading == a
         assert est.bracket == (Fraction(a), Fraction(a))
-        assert est.width() == 0
+        assert width(est) == 0
 
 
 def test_exact_recovery_from_two_samples():
@@ -72,3 +78,30 @@ def test_serialization_uses_exact_strings():
     assert doc["bracket"] == ["4", "4"]
     assert doc["normalized"][0] == "11/2"
     assert isinstance(doc["leading_approx"], float)
+
+
+@st.composite
+def increasing_samples(draw):
+    """2 to 8 samples with increasing q <= 10^4 and increasing counts up
+    to 10^30."""
+    n = draw(st.integers(2, 8))
+    qs = sorted(draw(st.sets(st.integers(1, 10**4), min_size=n, max_size=n)))
+    counts = sorted(draw(st.lists(st.integers(0, 10**30), min_size=n, max_size=n)))
+    return [ColengthSample(q, c) for q, c in zip(qs, counts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(increasing_samples(), st.integers(1, 6))
+def test_estimate_matches_fraction_chain(samples, d):
+    """The integer two-point fits give the Fractions of the Fraction chain,
+    and the strings of to_dict are format_fraction's."""
+    est = estimate(samples[::-1], d)
+    fits = two_point_fits_by_fractions(samples, d)
+    tail = fits[-3:]
+    for new, old in zip((est.leading, *est.bracket),
+                        (fits[-1], min(tail), max(tail))):
+        assert type(new) is Fraction
+        assert (new.numerator, new.denominator) == (old.numerator, old.denominator)
+    doc = est.to_dict()
+    assert doc["normalized"] == [format_fraction(v)
+                                 for v in normalized_sequence(samples, d)]

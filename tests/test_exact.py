@@ -10,11 +10,15 @@ from hkrees.exact import (
     binomial,
     factorial,
     format_fraction,
+    format_ratio,
     parse_int,
     stirling2,
 )
 
-from reference_routes import stirling2_by_sum
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reference_routes import parse_int_by_regex, stirling2_by_sum
 
 # Reference triangle for S(n, k), n = 1..10, k = 1..10.
 STIRLING_TABLE = [
@@ -125,6 +129,31 @@ def test_parse_int_reads_ascii_digits(text, value):
 def test_parse_int_rejects_everything_else(text):
     with pytest.raises(ParameterError, match="bad integer"):
         parse_int(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789-+_ \n\u00b2\u0661\uff11", max_size=8))
+@example("-")
+@example("-0")
+@example("\u00b2")
+@example("-\u0661")
+def test_parse_int_matches_the_regex(text):
+    """isascii and isdigit after one optional minus accept what
+    -?[0-9]+ matches, and reject the rest with the same error."""
+    try:
+        expected = parse_int_by_regex(text)
+    except ParameterError as err:
+        with pytest.raises(ParameterError) as got:
+            parse_int(text)
+        assert str(got.value) == str(err)
+    else:
+        assert parse_int(text) == expected
+
+
+@pytest.mark.parametrize("num, den", [(0, 5), (6, 3), (-6, 4), (899, 360),
+                                      (10**30, 10**12), (7, 1)])
+def test_format_ratio_spells_the_fraction(num, den):
+    assert format_ratio(num, den) == format_fraction(Fraction(num, den))
 
 
 def test_fractions_are_canonical():

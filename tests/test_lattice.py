@@ -39,7 +39,10 @@ from hkrees.lattice import (
 )
 
 from reference_routes import (
+    equality_criterion_by_fractions,
+    lemma38_limit,
     segre_colength_by_alpha_q,
+    veronese_I_limits,
     veronese_beta_by_alpha,
     veronese_rees_colength_by_alpha_q,
 )
@@ -697,6 +700,29 @@ def test_equality_criterion():
     assert equality_criterion(Semigroup2D(((0, 5), (3, 0))))
 
 
+@st.composite
+def segment_semigroups(draw):
+    """Normalized semigroups whose generators all lie on the segment from
+    (0, b) to (a, 0), with a, b up to 10^6: a = g u, b = g v and the inner
+    generators (k u, b - k v) for some 0 < k < g.  A flag moves one inner
+    generator one step off the segment, where that keeps the order."""
+    g = draw(st.integers(1, 8))
+    u, v = draw(st.integers(1, 125_000)), draw(st.integers(1, 125_000))
+    ks = sorted(draw(st.sets(st.integers(1, g - 1), max_size=3))) if g > 1 else []
+    gens = [(0, g * v)] + [(k * u, (g - k) * v) for k in ks] + [(g * u, 0)]
+    if ks and u > 1 and draw(st.booleans()):
+        x, y = gens[1]
+        gens[1] = (x - 1, y)
+    return Semigroup2D(tuple(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(semigroups(top=10**6), segment_semigroups()))
+def test_equality_criterion_matches_fraction_sums(s):
+    """a_i b + b_i a = a b in integers is a_i/a + b_i/b = 1 in Fractions."""
+    assert equality_criterion(s) == equality_criterion_by_fractions(s)
+
+
 def test_named_semigroups():
     assert semigroup_binomial_an(3).generators == ((0, 3), (1, 1), (3, 0))
     assert semigroup_veronese(3).generators == ((0, 3), (1, 2), (2, 1), (3, 0))
@@ -1076,10 +1102,10 @@ def test_base_multiplicity_pinned(gens, e):
     (lambda: veronese_beta(2, 2, 0, 5), "cq=5 not divisible by c=2"),
     (lambda: veronese_rees_colength(2, 2, 0), "need c, d, q >= 1, got (2, 2, 0)"),
     (lambda: semigroup_veronese(0), "c must be >= 1, got 0"),
-    (lambda: cf.lemma38_limit(0, 2), "lemma38_limit requires c, d >= 1, got (0, 2)"),
-    (lambda: cf.veronese_I_limits(cf.VeroneseParams(2, 1), 0, 0),
+    (lambda: lemma38_limit(0, 2), "lemma38_limit requires c, d >= 1, got (0, 2)"),
+    (lambda: veronese_I_limits(cf.VeroneseParams(2, 1), 0, 0),
      "I_k(a) requires d >= 2, got d=1"),
-    (lambda: cf.veronese_I_limits(cf.VeroneseParams(2, 2), -1, 0), "a must be >= 0, got -1"),
+    (lambda: veronese_I_limits(cf.VeroneseParams(2, 2), -1, 0), "a must be >= 0, got -1"),
     (lambda: toric.normal_in_q(None, None, 2, 0), "q must be >= 1, got 0"),
     (lambda: normalized_sequence([], 0), "dimension must be >= 1, got 0"),
 ], ids=["segre-c", "beta-cq", "beta-divisible", "veronese-rees-q", "semigroup-veronese",
